@@ -99,7 +99,6 @@ func run(args []string) error {
 	var (
 		coordinator  = fs.Bool("coordinator", false, "front a fleet of -shard-target servers instead of serving sketches directly")
 		coordSketch  = fs.String("coordinator-sketch", "", "sketch name the coordinator's unnamed routes query on the shard servers (default: each shard's default sketch)")
-		greedyBatch  = fs.Int("greedy-batch", cluster.DefaultGreedyBatch, "stale candidates re-evaluated per scatter round of distributed /v1/seeds")
 		sketchDir    = fs.String("sketch-dir", "", "directory of *.sketch files to serve under their base names; SIGHUP re-scans it")
 		defaultName  = fs.String("default", "", "sketch name aliased by the unnamed legacy routes (default: first sketch loaded)")
 		addr         = fs.String("addr", ":8080", "listen address")
@@ -135,7 +134,6 @@ func run(args []string) error {
 			MaxSeeds:        *maxSeeds,
 			MaxK:            *maxK,
 			MaxBatchQueries: *maxBatch,
-			GreedyBatch:     *greedyBatch,
 		}, *addr)
 	}
 	if len(shardTargets) != 0 {

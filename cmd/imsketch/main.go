@@ -129,7 +129,6 @@ func run(args []string) error {
 		rr         = fs.Int("rr", 200000, "number of reverse-reachable sets (the cap, for -target-eps builds)")
 		seed       = fs.Uint64("seed", 1, "random seed (recorded in the sketch)")
 		workers    = fs.Int("workers", -1, "build parallelism: 1 = serial, >1 = that many workers, -1 = all CPUs")
-		kernel     = fs.String("kernel", "auto", "coverage kernel for the build's error-bound evaluations: auto, epoch or bitpack (sketch bytes are identical either way)")
 		out        = fs.String("out", "", "output sketch path (required for a build)")
 		info       = fs.String("info", "", "verify an existing sketch or checkpoint section by section and exit")
 		split      = fs.Int("split", 0, "split the sketch file given as the positional argument into this many shard files and exit (-out sets the shard-name prefix)")
@@ -211,7 +210,7 @@ func run(args []string) error {
 		return err
 	}
 
-	opt := imdist.OracleOptions{Model: *model, Seed: *seed, Workers: *workers, Kernel: *kernel}
+	opt := imdist.OracleOptions{Model: *model, Seed: *seed, Workers: *workers}
 	bopt := imdist.BuildOptions{
 		TargetEps: *targetEps,
 		Delta:     *delta,

@@ -26,7 +26,6 @@ var deterministicPackages = []string{
 	"imdist/internal/rng",
 	"imdist/internal/diffusion",
 	"imdist/internal/estimator",
-	"imdist/internal/coverage",
 	"imdist/internal/greedy",
 	"imdist/internal/sketchio",
 }

@@ -9,12 +9,11 @@
 // returns exact integer RR-set counts, integers sum exactly in any order, and
 // the coordinator performs the one float division by the fleet-wide RR-set
 // total itself — the same expression, on the same integers, as the unsplit
-// oracle. Greedy seed selection runs a CELF-style lazy-evaluation loop over
-// summed per-shard marginal counts, with the exact (max gain, then smallest
-// vertex id) argmax of core.Oracle.GreedySeeds; top-k ranks the summed
-// per-vertex counts with the exact sort of TopSingleVertices. The gather work
-// is proportional to the answer (counts and candidate gains), never to
-// shards × RR sets.
+// oracle. Greedy seed selection runs core.LazyGreedy, the loop behind
+// core.Oracle.GreedySeeds, over summed per-shard marginal counts; top-k ranks
+// the summed per-vertex counts with core.RankCounts, the ranking behind
+// TopSingleVertices. The gather work is proportional to the answer (counts
+// and candidate gains), never to shards × RR sets.
 //
 // The coordinator holds no state besides its target list: every response
 // carries the shard's identity (build identity + lineage), and the
@@ -30,7 +29,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -39,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"imdist/internal/core"
 	"imdist/internal/server"
 )
 
@@ -49,10 +48,6 @@ const (
 	DefaultMaxSeeds        = server.DefaultMaxSeeds
 	DefaultMaxK            = server.DefaultMaxK
 	DefaultMaxBatchQueries = server.DefaultMaxBatchQueries
-	// DefaultGreedyBatch is how many stale CELF entries are re-evaluated per
-	// scatter round: large enough to amortize the RPC, small enough that most
-	// re-evaluations are not wasted on entries that stay buried in the heap.
-	DefaultGreedyBatch = 128
 	// DefaultMaxIdleConnsPerHost sizes the pooled transport's per-shard idle
 	// connection pool. net/http's default of 2 would reopen connections on
 	// every concurrent scatter.
@@ -77,10 +72,6 @@ type Config struct {
 	MaxSeeds        int
 	MaxK            int
 	MaxBatchQueries int
-	// GreedyBatch is the number of stale CELF heap entries re-evaluated per
-	// /v1/shard/marginal scatter during seed selection (default
-	// DefaultGreedyBatch).
-	GreedyBatch int
 	// Transport overrides the pooled HTTP transport (tests). Nil builds one
 	// with DefaultMaxIdleConnsPerHost persistent connections per shard.
 	Transport http.RoundTripper
@@ -100,12 +91,15 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Targets) == 0 {
 		return nil, errors.New("cluster: Config requires at least one shard target")
 	}
+	// Trim a copy: the caller's slice is not ours to rewrite.
+	targets := make([]string, len(cfg.Targets))
 	for i, t := range cfg.Targets {
-		cfg.Targets[i] = strings.TrimRight(t, "/")
-		if !strings.HasPrefix(cfg.Targets[i], "http://") && !strings.HasPrefix(cfg.Targets[i], "https://") {
+		targets[i] = strings.TrimRight(t, "/")
+		if !strings.HasPrefix(targets[i], "http://") && !strings.HasPrefix(targets[i], "https://") {
 			return nil, fmt.Errorf("cluster: shard target %q is not an http(s) URL", t)
 		}
 	}
+	cfg.Targets = targets
 	if cfg.MaxBodyBytes == 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
@@ -117,9 +111,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.MaxBatchQueries == 0 {
 		cfg.MaxBatchQueries = DefaultMaxBatchQueries
-	}
-	if cfg.GreedyBatch < 1 {
-		cfg.GreedyBatch = DefaultGreedyBatch
 	}
 	transport := cfg.Transport
 	if transport == nil {
@@ -177,20 +168,6 @@ func (c *Coordinator) ListenAndServe(ctx context.Context, addr string) error {
 	}
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
 // writeFleetError maps a scatter failure to the degraded-mode response: an
 // unreachable or erroring shard is a 503 naming the missing target, a
 // misassembled fleet (wrong lineage) a 502 naming the offender.
@@ -201,33 +178,15 @@ func writeFleetError(w http.ResponseWriter, err error) {
 		// not a fleet failure: pass the shard's own 404 through verbatim so
 		// unknown-sketch requests read exactly as on a single process.
 		if se.status == http.StatusNotFound && se.shardMsg != "" {
-			writeError(w, http.StatusNotFound, "%s", se.shardMsg)
+			server.WriteError(w, http.StatusNotFound, "%s", se.shardMsg)
 			return
 		}
 		if se.unreachable {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			server.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
 	}
-	writeError(w, http.StatusBadGateway, "%v", err)
-}
-
-// decodeBody strictly decodes a size-limited JSON body into v, mirroring the
-// shard servers' own body handling (same limits, same messages).
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		}
-		return false
-	}
-	return true
+	server.WriteError(w, http.StatusBadGateway, "%v", err)
 }
 
 // sketchFor resolves which sketch name to query on the shard servers: the
@@ -268,11 +227,11 @@ func extendWriteDeadline(w http.ResponseWriter) {
 
 func (c *Coordinator) handleInfluence(w http.ResponseWriter, r *http.Request) {
 	var req influenceRequest
-	if !c.decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, c.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if msg := c.validateSeedShape(req.Seeds); msg != "" {
-		writeError(w, http.StatusBadRequest, "%s", msg)
+		server.WriteError(w, http.StatusBadRequest, "%s", msg)
 		return
 	}
 	fleet, err := c.scatterCoverage(r.Context(), c.sketchFor(r), [][]int{req.Seeds})
@@ -281,10 +240,10 @@ func (c *Coordinator) handleInfluence(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if msg := fleet.itemError(0); msg != "" {
-		writeError(w, http.StatusBadRequest, "%s", msg)
+		server.WriteError(w, http.StatusBadRequest, "%s", msg)
 		return
 	}
-	writeJSON(w, http.StatusOK, server.InfluenceResponse{
+	server.WriteJSON(w, http.StatusOK, server.InfluenceResponse{
 		Influence: fleet.influence(fleet.counts[0]),
 		CI99:      fleet.ci99(),
 		Seeds:     len(server.CanonicalSeeds(req.Seeds)),
@@ -293,15 +252,15 @@ func (c *Coordinator) handleInfluence(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleBatchInfluence(w http.ResponseWriter, r *http.Request) {
 	var reqs []influenceRequest
-	if !c.decodeBody(w, r, &reqs) {
+	if !server.DecodeBody(w, r, c.cfg.MaxBodyBytes, &reqs) {
 		return
 	}
 	if len(reqs) == 0 {
-		writeError(w, http.StatusBadRequest, "batch must be a non-empty JSON array of influence requests")
+		server.WriteError(w, http.StatusBadRequest, "batch must be a non-empty JSON array of influence requests")
 		return
 	}
 	if len(reqs) > c.cfg.MaxBatchQueries {
-		writeError(w, http.StatusBadRequest, "too many batch queries: %d > %d", len(reqs), c.cfg.MaxBatchQueries)
+		server.WriteError(w, http.StatusBadRequest, "too many batch queries: %d > %d", len(reqs), c.cfg.MaxBatchQueries)
 		return
 	}
 	// One scatter evaluates every shape-valid item. Dedup by canonical seed
@@ -336,7 +295,7 @@ func (c *Coordinator) handleBatchInfluence(w http.ResponseWriter, r *http.Reques
 		pending = append(pending, pendingQuery{items: []int{i}, seeds: req.Seeds, canon: len(canon)})
 	}
 	if len(pending) == 0 {
-		writeJSON(w, http.StatusOK, items)
+		server.WriteJSON(w, http.StatusOK, items)
 		return
 	}
 	seedSets := make([][]int, len(pending))
@@ -366,18 +325,18 @@ func (c *Coordinator) handleBatchInfluence(w http.ResponseWriter, r *http.Reques
 		}
 	}
 	extendWriteDeadline(w)
-	writeJSON(w, http.StatusOK, items)
+	server.WriteJSON(w, http.StatusOK, items)
 }
 
 func (c *Coordinator) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		K int `json:"k"`
 	}
-	if !c.decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, c.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if req.K < 1 || req.K > c.cfg.MaxK {
-		writeError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", c.cfg.MaxK, req.K)
+		server.WriteError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", c.cfg.MaxK, req.K)
 		return
 	}
 	resp, err := c.greedySeeds(r.Context(), c.sketchFor(r), req.K)
@@ -385,7 +344,7 @@ func (c *Coordinator) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		writeFleetError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleTop(w http.ResponseWriter, r *http.Request) {
@@ -393,13 +352,13 @@ func (c *Coordinator) handleTop(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("k"); q != "" {
 		parsed, err := strconv.Atoi(q)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid k %q", q)
+			server.WriteError(w, http.StatusBadRequest, "invalid k %q", q)
 			return
 		}
 		k = parsed
 	}
 	if k < 1 || k > c.cfg.MaxK {
-		writeError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", c.cfg.MaxK, k)
+		server.WriteError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", c.cfg.MaxK, k)
 		return
 	}
 	fleet, err := c.scatterMarginal(r.Context(), c.sketchFor(r), nil, nil)
@@ -407,7 +366,12 @@ func (c *Coordinator) handleTop(w http.ResponseWriter, r *http.Request) {
 		writeFleetError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, fleet.topVertices(k))
+	top := core.RankCounts(fleet.gains, k)
+	resp := server.TopResponse{Vertices: toInts(top), Influences: make([]float64, len(top))}
+	for i, v := range top {
+		resp.Influences[i] = fleet.influence(fleet.gains[v])
+	}
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // healthzTarget is one shard server's slice of the coordinator healthz
@@ -483,5 +447,5 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.RRSets += ht.RRSets
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"imdist/internal/core"
@@ -384,7 +386,86 @@ func TestNewConfigValidation(t *testing.T) {
 	if got := c.cfg.Targets[0]; got != "http://127.0.0.1:8080" {
 		t.Errorf("target not normalized: %q", got)
 	}
-	if c.cfg.GreedyBatch != DefaultGreedyBatch || c.cfg.MaxK != DefaultMaxK {
+	if c.cfg.MaxK != DefaultMaxK {
 		t.Errorf("defaults not applied: %+v", c.cfg)
+	}
+}
+
+// TestNewLeavesCallerTargetsUnchanged checks that New trims a copy of the
+// target list, not the caller's slice.
+func TestNewLeavesCallerTargetsUnchanged(t *testing.T) {
+	targets := []string{"http://x/"}
+	c, err := New(Config{Targets: targets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if targets[0] != "http://x/" {
+		t.Errorf("caller's target rewritten to %q", targets[0])
+	}
+	if got := c.cfg.Targets[0]; got != "http://x" {
+		t.Errorf("coordinator target = %q, want %q", got, "http://x")
+	}
+}
+
+// flipSeedTransport rewrites build_seed in the flipAt-th /v1/shard/marginal
+// response it carries, as if the shard had been reloaded to another build
+// between two greedy rounds.
+type flipSeedTransport struct {
+	base   http.RoundTripper
+	flipAt int
+	mu     sync.Mutex
+	seen   int
+}
+
+func (f *flipSeedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := f.base.RoundTrip(req)
+	if err != nil || !strings.HasSuffix(req.URL.Path, "/shard/marginal") {
+		return resp, err
+	}
+	f.mu.Lock()
+	f.seen++
+	flip := f.seen == f.flipAt
+	f.mu.Unlock()
+	if !flip {
+		return resp, nil
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		return nil, err
+	}
+	fields["build_seed"] = json.RawMessage("12345")
+	if raw, err = json.Marshal(fields); err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(raw))
+	resp.ContentLength = int64(len(raw))
+	resp.Header.Del("Content-Length")
+	return resp, nil
+}
+
+// TestCoordinatorIdentityFlipMidSelection changes the fleet's build identity
+// between the first and second greedy rounds: /v1/seeds must refuse to merge
+// the rounds and answer 502 asking for a retry.
+func TestCoordinatorIdentityFlipMidSelection(t *testing.T) {
+	path := buildSketchFile(t, diffusion.IC, core.DefaultBatchShardSize, 7)
+	transport := &flipSeedTransport{base: http.DefaultTransport, flipAt: 2}
+	coord := newCoordinator(t, Config{Targets: launchFleet(t, path, 1), Transport: transport})
+	status, raw := postJSON(t, coord.URL+"/v1/seeds", `{"k":5}`)
+	if status != http.StatusBadGateway {
+		t.Fatalf("identity flip: status %d (%s), want 502", status, raw)
+	}
+	if !strings.Contains(string(raw), "fleet identity changed during seed selection") ||
+		!strings.Contains(string(raw), "retry") {
+		t.Errorf("identity flip error does not ask for a retry: %s", raw)
+	}
+	transport.mu.Lock()
+	defer transport.mu.Unlock()
+	if transport.seen < 2 {
+		t.Errorf("selection made %d marginal scatters, the flip needs 2", transport.seen)
 	}
 }

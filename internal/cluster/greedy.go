@@ -1,109 +1,71 @@
 package cluster
 
-// Distributed greedy seed selection: a CELF-style lazy-evaluation loop over
-// fleet-wide marginal coverage counts that reproduces, vertex for vertex,
-// what core.Oracle.GreedySeeds computes on the unsplit sketch.
-//
-// Correctness of the lazy selection: the heap orders candidates by (gain
-// desc, id asc), the exact preference of GreedySeeds' argmax scan. A stale
-// entry's gain is an upper bound on its true gain (submodularity: marginal
-// gains only shrink as the seed set grows). So when the heap's top entry is
-// fresh — evaluated against the current seed set — every other candidate's
-// true gain is at most the top's gain, and any candidate whose stale bound
-// ties it sits below the top only if its id is larger. Selecting a fresh top
-// is therefore exactly the (max gain, min id) argmax, without re-evaluating
-// the candidates that stayed buried. Stale entries are re-evaluated in
-// batches of GreedyBatch per scatter, so the RPC count per round is
-// O(stale/batch), not O(n).
+// Distributed greedy seed selection: core.LazyGreedy over fleet-wide
+// marginal coverage counts, which selects, vertex for vertex, what
+// core.Oracle.GreedySeeds selects on the unsplit sketch.
 
 import (
-	"container/heap"
 	"context"
-	"fmt"
+	"errors"
 
+	"imdist/internal/core"
+	"imdist/internal/graph"
 	"imdist/internal/server"
 )
 
-// celfEntry is one candidate in the lazy-greedy queue: v's fleet-wide
-// marginal gain as of round (i.e. computed against the first round selected
-// seeds).
-type celfEntry struct {
-	v     int
-	gain  int64
-	round int
+// errFleetChanged fails a seed selection whose rounds saw different fleets.
+var errFleetChanged = errors.New("fleet identity changed during seed selection (sketch reloaded mid-query); retry")
+
+// fleetMarginals is the coordinator's core.MarginalSource for one seed
+// selection: each call is one /v1/shard/marginal scatter. It remembers the
+// round-0 fleet identity, which every later round must match.
+type fleetMarginals struct {
+	ctx    context.Context
+	c      *Coordinator
+	sketch string
+	first  *fleetView
 }
 
-// celfHeap orders by gain descending, then vertex id ascending — the
-// GreedySeeds argmax preference.
-type celfHeap []celfEntry
-
-func (h celfHeap) Len() int { return len(h) }
-func (h celfHeap) Less(i, j int) bool {
-	if h[i].gain != h[j].gain {
-		return h[i].gain > h[j].gain
+func (f *fleetMarginals) MarginalCoverage(seeds, candidates []graph.VertexID) ([]int64, error) {
+	mg, err := f.c.scatterMarginal(f.ctx, f.sketch, toInts(seeds), toInts(candidates))
+	if err != nil {
+		return nil, err
 	}
-	return h[i].v < h[j].v
+	if f.first == nil {
+		f.first = &mg.fleetView
+		return mg.gains, nil
+	}
+	// A shard hot-reloaded to a different sketch mid-selection would make
+	// the rounds' gains incomparable; rather than merge counts from two
+	// different builds, fail the query — the client's retry starts clean.
+	if mg.fleetView != *f.first {
+		return nil, errFleetChanged
+	}
+	return mg.gains, nil
 }
-func (h celfHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *celfHeap) Push(x any)   { *h = append(*h, x.(celfEntry)) }
-func (h *celfHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// toInts converts vertex ids to the shard wire format, keeping nil as nil
+// (nil candidates mean every vertex).
+func toInts(vs []graph.VertexID) []int {
+	if vs == nil {
+		return nil
+	}
+	out := make([]int, len(vs))
+	for i, v := range vs {
+		out[i] = int(v)
+	}
+	return out
 }
 
 // greedySeeds answers /v1/seeds for the fleet: the same seed sequence and
 // influence a single process computes with GreedySeeds + Influence on the
-// unsplit sketch. k is clamped to the vertex count, as GreedySeeds clamps it.
+// unsplit sketch. LazyGreedy clamps k to the vertex count, as GreedySeeds
+// does.
 func (c *Coordinator) greedySeeds(ctx context.Context, sketch string, k int) (server.SeedsResponse, error) {
-	// Round 0: every vertex's membership count in one all-vertex scatter
-	// (seeds empty, candidates nil).
-	first, err := c.scatterMarginal(ctx, sketch, nil, nil)
+	src := &fleetMarginals{ctx: ctx, c: c, sketch: sketch}
+	seeds, covered, err := core.LazyGreedy(src, k)
 	if err != nil {
 		return server.SeedsResponse{}, err
 	}
-	if k > first.vertices {
-		k = first.vertices
-	}
-	h := make(celfHeap, len(first.gains))
-	for v, gain := range first.gains {
-		h[v] = celfEntry{v: v, gain: gain, round: 0}
-	}
-	heap.Init(&h)
-
-	selected := make([]int, 0, k)
-	var covered int64 // telescoping: Σ selected gains == Coverage(selected)
-	for len(selected) < k {
-		if h[0].round == len(selected) {
-			e := heap.Pop(&h).(celfEntry)
-			covered += e.gain
-			selected = append(selected, e.v)
-			continue
-		}
-		// Re-evaluate up to GreedyBatch stale entries with one scatter.
-		batch := make([]celfEntry, 0, c.cfg.GreedyBatch)
-		for i := 0; i < c.cfg.GreedyBatch && len(h) > 0 && h[0].round != len(selected); i++ {
-			batch = append(batch, heap.Pop(&h).(celfEntry))
-		}
-		candidates := make([]int, len(batch))
-		for i, e := range batch {
-			candidates[i] = e.v
-		}
-		mg, err := c.scatterMarginal(ctx, sketch, selected, candidates)
-		if err != nil {
-			return server.SeedsResponse{}, err
-		}
-		// A shard hot-reloaded to a different sketch mid-selection would make
-		// the rounds' gains incomparable; rather than merge counts from two
-		// different builds, fail the query — the client's retry starts clean.
-		if mg.fleetView != first.fleetView {
-			return server.SeedsResponse{}, fmt.Errorf("fleet identity changed during seed selection (sketch reloaded mid-query); retry")
-		}
-		for i := range batch {
-			heap.Push(&h, celfEntry{v: batch[i].v, gain: mg.gains[i], round: len(selected)})
-		}
-	}
-	return server.SeedsResponse{Seeds: selected, Influence: first.influence(covered)}, nil
+	return server.SeedsResponse{Seeds: toInts(seeds), Influence: src.first.influence(covered)}, nil
 }

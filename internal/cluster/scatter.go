@@ -13,7 +13,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"sync"
 
 	"imdist/internal/server"
@@ -110,7 +109,7 @@ func (c *Coordinator) doShard(target string, req *http.Request, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg := fmt.Sprintf("status %d", resp.StatusCode)
-		var er errorResponse
+		var er server.ErrorResponse
 		if b, rerr := io.ReadAll(io.LimitReader(resp.Body, 4096)); rerr == nil {
 			if json.Unmarshal(b, &er) == nil && er.Error != "" {
 				msg = fmt.Sprintf("status %d: %s", resp.StatusCode, er.Error)
@@ -285,33 +284,4 @@ func (c *Coordinator) scatterMarginal(ctx context.Context, sketch string, seeds,
 		}
 	}
 	return g, nil
-}
-
-// topVertices ranks an all-vertex gather exactly as
-// core.Oracle.TopSingleVertices ranks the unsplit sketch: influence
-// non-increasing, ties broken by ascending vertex id.
-func (g *marginalGather) topVertices(k int) server.TopResponse {
-	type pair struct {
-		v   int
-		inf float64
-	}
-	pairs := make([]pair, len(g.gains))
-	for v, cnt := range g.gains {
-		pairs[v] = pair{v, g.influence(cnt)}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].inf != pairs[j].inf {
-			return pairs[i].inf > pairs[j].inf
-		}
-		return pairs[i].v < pairs[j].v
-	})
-	if k > len(pairs) {
-		k = len(pairs)
-	}
-	resp := server.TopResponse{Vertices: make([]int, k), Influences: make([]float64, k)}
-	for i := 0; i < k; i++ {
-		resp.Vertices[i] = pairs[i].v
-		resp.Influences[i] = pairs[i].inf
-	}
-	return resp
 }

@@ -263,7 +263,8 @@ func (b *SketchBuilder) ErrorBound(k int, delta float64) float64 {
 	if err != nil {
 		return math.Inf(1)
 	}
-	lb := o.influenceOf(o.GreedySeeds(k))
+	_, covered, _ := LazyGreedy(o, k) // the oracle's own ids: cannot fail
+	lb := o.influenceOf(covered)
 	if lb < 1 {
 		lb = 1
 	}

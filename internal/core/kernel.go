@@ -295,52 +295,3 @@ func (o *Oracle) bitpackCoverage(seeds []graph.VertexID) int64 {
 	o.putAcc(acc)
 	return hits
 }
-
-// greedySeedsBitpack is GreedySeeds on the packed index: instead of stamping
-// epochs per covered element, each round recomputes every candidate's
-// marginal gain as popcount(row AND NOT covered) over the blocked words and
-// ORs the winner's rows into the covered accumulator. The gains equal the
-// epoch path's eagerly maintained coverCount values exactly (both are the
-// candidate's uncovered membership count), and the argmax scans vertices in
-// ascending order with a strict comparison, so ties break identically and
-// the selected seed sequence is byte-identical to the epoch kernel's.
-func (o *Oracle) greedySeedsBitpack(k int) []graph.VertexID {
-	m := o.packedMatrix()
-	covered := make([]uint64, 0, m.numBlocks()*m.maxBlockWords())
-	coveredStart := make([]int, m.numBlocks()+1)
-	for b := 0; b < m.numBlocks(); b++ {
-		coveredStart[b+1] = coveredStart[b] + m.blockWords[b]
-	}
-	covered = covered[:coveredStart[m.numBlocks()]]
-	chosen := make([]bool, o.n)
-	seeds := make([]graph.VertexID, 0, k)
-	for len(seeds) < k {
-		best, bestGain := -1, int64(-1)
-		for v := 0; v < o.n; v++ {
-			if chosen[v] {
-				continue
-			}
-			var gain int64
-			for b := 0; b < m.numBlocks(); b++ {
-				row := m.row(v, b)
-				cov := covered[coveredStart[b]:coveredStart[b+1]]
-				for i, word := range row {
-					gain += int64(bits.OnesCount64(word &^ cov[i]))
-				}
-			}
-			if best < 0 || gain > bestGain {
-				best, bestGain = v, gain
-			}
-		}
-		chosen[best] = true
-		seeds = append(seeds, graph.VertexID(best))
-		for b := 0; b < m.numBlocks(); b++ {
-			row := m.row(best, b)
-			cov := covered[coveredStart[b]:coveredStart[b+1]]
-			for i, word := range row {
-				cov[i] |= word
-			}
-		}
-	}
-	return seeds
-}

@@ -23,11 +23,10 @@ var marginalPool sync.Pool // *marginalScratch, shared across oracles by size ch
 // candidates slice means every vertex in [0, n), in ascending order; with
 // empty seeds the result is each candidate's raw membership count.
 //
-// This is the greedy primitive of the distributed serving tier: per-shard
-// marginal counts are integers, so a coordinator can sum them across a
-// partitioned fleet and run the exact same argmax (max gain, ties to the
-// smallest vertex id) as GreedySeeds on the unsplit sketch, round by round,
-// selecting a byte-identical seed sequence.
+// This is the oracle's MarginalSource, the primitive LazyGreedy selects over.
+// Per-shard marginal counts are integers, so a coordinator can sum them
+// across a partitioned fleet and run the same LazyGreedy as GreedySeeds on
+// the unsplit sketch, selecting a byte-identical seed sequence.
 func (o *Oracle) MarginalCoverage(seeds, candidates []graph.VertexID) ([]int64, error) {
 	if err := o.ValidateSeeds(seeds); err != nil {
 		return nil, err
@@ -47,6 +46,13 @@ func (o *Oracle) MarginalCoverage(seeds, candidates []graph.VertexID) ([]int64, 
 			return i
 		}
 		return int(candidates[i])
+	}
+	if len(seeds) == 0 {
+		// Nothing is covered yet: every kernel's gain is the membership count.
+		for i := range gains {
+			gains[i] = int64(len(o.memberOf[candidate(i)]))
+		}
+		return gains, nil
 	}
 	if o.useBitpack() {
 		o.marginalBitpack(seeds, gains, candidate)
@@ -83,7 +89,7 @@ func (o *Oracle) MarginalCoverage(seeds, candidates []graph.VertexID) ([]int64, 
 func (o *Oracle) marginalBitpack(seeds []graph.VertexID, gains []int64, candidate func(int) int) {
 	m := o.packedMatrix()
 	// The covered accumulator holds one word range per block, blockWords[b]
-	// wide (the same layout greedySeedsBitpack uses).
+	// wide.
 	coveredStart := make([]int, m.numBlocks()+1)
 	for b := 0; b < m.numBlocks(); b++ {
 		coveredStart[b+1] = coveredStart[b] + m.blockWords[b]

@@ -12,7 +12,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"imdist/internal/diffusion"
@@ -29,8 +28,8 @@ import (
 // of an estimate is n·F(S) ± 1.29·n/√R.
 //
 // The query methods (Influence, GreedySeeds, TopSingleVertices) are safe for
-// concurrent use: all per-call scratch state lives in pooled buffers, never
-// on the oracle itself.
+// concurrent use: per-call scratch state lives in pooled buffers or on the
+// call's own stack and heap, never on the oracle itself.
 type Oracle struct {
 	n       int
 	numSets int
@@ -40,20 +39,19 @@ type Oracle struct {
 	seed  uint64
 	// memberOf[v] lists the RR set indices containing vertex v.
 	memberOf [][]int32
-	// store holds the RR sets themselves (used for greedy coverage and
-	// serialization). The oracle snapshots numSets at construction; the store
-	// may keep growing underneath (SketchBuilder appends), but indices below
-	// numSets are immutable, so the snapshot stays coherent. payloadBytes is
-	// the snapshot's exact encoded record size.
+	// store holds the RR sets themselves (used for serialization). The
+	// oracle snapshots numSets at construction; the store may keep growing
+	// underneath (SketchBuilder appends), but indices below numSets are
+	// immutable, so the snapshot stays coherent. payloadBytes is the
+	// snapshot's exact encoded record size.
 	store        RRStore
 	payloadBytes int64
 	// shard records this oracle's place in a partitioned fleet (zero value
 	// for whole sketches); it travels with the oracle when serialized.
 	shard ShardLineage
 
-	// influencePool holds *influenceScratch, greedyPool holds *greedyScratch.
+	// influencePool holds *influenceScratch.
 	influencePool sync.Pool
-	greedyPool    sync.Pool
 
 	// kernels holds the coverage-kernel selection (epoch vs bitpack) and the
 	// lazily built packed index; see kernel.go.
@@ -340,13 +338,12 @@ func (o *Oracle) Influence(seeds []graph.VertexID) (float64, error) {
 	if err := o.ValidateSeeds(seeds); err != nil {
 		return 0, err
 	}
-	return o.influenceOf(seeds), nil
+	return o.influenceOf(o.coverageOf(seeds)), nil
 }
 
-// influenceOf is Influence for pre-validated seed sets (internal callers
-// whose seeds the oracle itself produced).
-func (o *Oracle) influenceOf(seeds []graph.VertexID) float64 {
-	return float64(o.n) * float64(o.coverageOf(seeds)) / float64(o.numSets)
+// influenceOf converts a coverage count to influence units, n·hits/R.
+func (o *Oracle) influenceOf(hits int64) float64 {
+	return float64(o.n) * float64(hits) / float64(o.numSets)
 }
 
 // Coverage returns the raw coverage count of the seed set: the exact number
@@ -397,103 +394,31 @@ func (o *Oracle) ConfidenceHalfWidth(z float64) float64 {
 	return float64(o.n) * stats.BinomialCI(0.5, o.numSets, z)
 }
 
-// greedyScratch is the pooled per-call state of GreedySeeds.
-type greedyScratch struct {
-	covered    []bool
-	coverCount []int32
-	chosen     []bool
-}
-
-func (o *Oracle) getGreedyScratch() *greedyScratch {
-	s, _ := o.greedyPool.Get().(*greedyScratch)
-	if s == nil || len(s.covered) != o.numSets || len(s.chosen) != o.n {
-		return &greedyScratch{
-			covered:    make([]bool, o.numSets),
-			coverCount: make([]int32, o.n),
-			chosen:     make([]bool, o.n),
-		}
-	}
-	clear(s.covered)
-	clear(s.chosen)
-	return s
-}
-
 // GreedySeeds runs greedy maximum coverage directly on the oracle's RR sets
 // and returns the resulting seed set. The paper uses the seed set obtained at
 // entropy 0 as "Exact Greedy"; when an instance has not converged within the
 // swept sample numbers this oracle-greedy solution is the natural reference,
 // since it is exactly what every approach converges to as its sample number
 // grows (they all become coverage maximization over an ever-better RR-set or
-// snapshot pool).
+// snapshot pool). Selection is LazyGreedy over the oracle's own marginals, so
+// both kernels return the same seeds.
 func (o *Oracle) GreedySeeds(k int) []graph.VertexID {
-	if k < 1 {
-		return nil
-	}
-	if k > o.n {
-		k = o.n
-	}
-	if o.useBitpack() {
-		return o.greedySeedsBitpack(k)
-	}
-	s := o.getGreedyScratch()
-	covered, coverCount, chosen := s.covered, s.coverCount, s.chosen
-	for v := 0; v < o.n; v++ {
-		coverCount[v] = int32(len(o.memberOf[v]))
-	}
-	seeds := make([]graph.VertexID, 0, k)
-	for len(seeds) < k {
-		best := -1
-		for v := 0; v < o.n; v++ {
-			if chosen[v] {
-				continue
-			}
-			if best < 0 || coverCount[v] > coverCount[best] {
-				best = v
-			}
-		}
-		bv := graph.VertexID(best)
-		chosen[best] = true
-		seeds = append(seeds, bv)
-		for _, idx := range o.memberOf[bv] {
-			if covered[idx] {
-				continue
-			}
-			covered[idx] = true
-			for _, u := range o.store.Set(int(idx)) {
-				coverCount[u]--
-			}
-		}
-	}
-	o.greedyPool.Put(s)
+	// The oracle's MarginalCoverage fails only on ids outside [0, n), and
+	// LazyGreedy passes it only ids from the oracle's own round-0 answer.
+	seeds, _, _ := LazyGreedy(o, k)
 	return seeds
 }
 
 // TopSingleVertices returns the topK vertices ranked by single-vertex oracle
-// influence in non-increasing order, together with their influences. This is
-// the quantity Table 4 reports. topK <= 0 returns all vertices.
+// influence in non-increasing order (ties to the smaller id), together with
+// their influences. This is the quantity Table 4 reports. topK <= 0 returns
+// all vertices.
 func (o *Oracle) TopSingleVertices(topK int) ([]graph.VertexID, []float64) {
-	type pair struct {
-		v   graph.VertexID
-		inf float64
-	}
-	pairs := make([]pair, o.n)
-	for v := 0; v < o.n; v++ {
-		pairs[v] = pair{graph.VertexID(v), o.influenceOf([]graph.VertexID{graph.VertexID(v)})}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].inf != pairs[j].inf {
-			return pairs[i].inf > pairs[j].inf
-		}
-		return pairs[i].v < pairs[j].v
-	})
-	if topK <= 0 || topK > o.n {
-		topK = o.n
-	}
-	vs := make([]graph.VertexID, topK)
-	infs := make([]float64, topK)
-	for i := 0; i < topK; i++ {
-		vs[i] = pairs[i].v
-		infs[i] = pairs[i].inf
+	counts, _ := o.MarginalCoverage(nil, nil) // no ids to validate: cannot fail
+	vs := RankCounts(counts, topK)
+	infs := make([]float64, len(vs))
+	for i, v := range vs {
+		infs[i] = o.influenceOf(counts[v])
 	}
 	return vs, infs
 }

@@ -548,15 +548,15 @@ func loadBuildGraph(req buildRequest) (*graph.InfluenceGraph, error) {
 
 func (s *Server) handleBuildSubmit(w http.ResponseWriter, r *http.Request) {
 	var req buildRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	job, msg, status := s.builds.submit(req)
 	if msg != "" {
-		writeError(w, status, "%s", msg)
+		WriteError(w, status, "%s", msg)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, job.status())
+	WriteJSON(w, http.StatusAccepted, job.status())
 }
 
 type buildListResponse struct {
@@ -564,28 +564,28 @@ type buildListResponse struct {
 }
 
 func (s *Server) handleBuildList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, buildListResponse{Builds: s.builds.list()})
+	WriteJSON(w, http.StatusOK, buildListResponse{Builds: s.builds.list()})
 }
 
 func (s *Server) handleBuildGet(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.builds.get(r.PathValue("build"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown build %q", r.PathValue("build"))
+		WriteError(w, http.StatusNotFound, "unknown build %q", r.PathValue("build"))
 		return
 	}
-	writeJSON(w, http.StatusOK, job.status())
+	WriteJSON(w, http.StatusOK, job.status())
 }
 
 func (s *Server) handleBuildCancel(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.builds.get(r.PathValue("build"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown build %q", r.PathValue("build"))
+		WriteError(w, http.StatusNotFound, "unknown build %q", r.PathValue("build"))
 		return
 	}
 	st, cancelled := s.builds.cancelJob(job)
 	if !cancelled {
-		writeError(w, http.StatusConflict, "build %s already %s", job.id, st.State)
+		WriteError(w, http.StatusConflict, "build %s already %s", job.id, st.State)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }

@@ -335,7 +335,7 @@ func TestBuildCancelAndUnknown(t *testing.T) {
 	if status, _ := del("build-999"); status != http.StatusNotFound {
 		t.Errorf("cancel unknown: status = %d, want 404", status)
 	}
-	var missing errorResponse
+	var missing ErrorResponse
 	if status := getJSON(t, ts.URL+"/v1/admin/builds/build-999", &missing); status != http.StatusNotFound {
 		t.Errorf("get unknown: status = %d, want 404", status)
 	}

@@ -302,18 +302,23 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	}
 }
 
-type errorResponse struct {
+// ErrorResponse is the body of every non-2xx answer (exported, with
+// WriteJSON, WriteError and DecodeBody, for the cluster coordinator, whose
+// error bodies must match the server's byte for byte).
+type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON body of a status response.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+// WriteError writes a formatted ErrorResponse with the given status.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 // entryFor resolves the request's sketch ({sketch} path segment, or the
@@ -325,9 +330,9 @@ func (s *Server) entryFor(w http.ResponseWriter, r *http.Request) (*sketchEntry,
 	e, ok := s.registry.acquire(name)
 	if !ok {
 		if name == "" {
-			writeError(w, http.StatusNotFound, "no default sketch loaded (default %q)", s.registry.DefaultName())
+			WriteError(w, http.StatusNotFound, "no default sketch loaded (default %q)", s.registry.DefaultName())
 		} else {
-			writeError(w, http.StatusNotFound, "sketch %q not loaded", name)
+			WriteError(w, http.StatusNotFound, "sketch %q not loaded", name)
 		}
 		return nil, false
 	}
@@ -345,17 +350,18 @@ func (s *Server) extendWriteDeadline(w http.ResponseWriter) {
 	}
 }
 
-// decodeBody strictly decodes a size-limited JSON body into v.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+// DecodeBody strictly decodes a JSON body of at most limit bytes into v. On
+// failure it writes a 413 or 400 and returns false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 		} else {
-			writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+			WriteError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		}
 		return false
 	}
@@ -440,24 +446,24 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 	}
 	defer e.release()
 	var req influenceRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if msg := s.validateInfluenceSeeds(e.oracle, req.Seeds); msg != "" {
-		writeError(w, http.StatusBadRequest, "%s", msg)
+		WriteError(w, http.StatusBadRequest, "%s", msg)
 		return
 	}
 	seeds := CanonicalSeeds(req.Seeds)
 	key := e.keyPrefix + seedsKey(seeds)
 	if v, ok := e.cache.Get(key); ok {
-		writeJSON(w, http.StatusOK, v)
+		WriteJSON(w, http.StatusOK, v)
 		return
 	}
 	inf, err := e.oracle.Influence(seeds)
 	if err != nil {
 		// Unreachable after the range check above, but the oracle's own
 		// validation is the final authority.
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	resp := InfluenceResponse{
@@ -466,7 +472,7 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 		Seeds:     len(seeds),
 	}
 	e.cache.Put(key, resp)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // BatchItem is one element of a /v1/influence:batch response. A valid item
@@ -486,15 +492,15 @@ func (s *Server) handleBatchInfluence(w http.ResponseWriter, r *http.Request) {
 	}
 	defer e.release()
 	var reqs []influenceRequest
-	if !s.decodeBody(w, r, &reqs) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &reqs) {
 		return
 	}
 	if len(reqs) == 0 {
-		writeError(w, http.StatusBadRequest, "batch must be a non-empty JSON array of influence requests")
+		WriteError(w, http.StatusBadRequest, "batch must be a non-empty JSON array of influence requests")
 		return
 	}
 	if len(reqs) > s.cfg.MaxBatchQueries {
-		writeError(w, http.StatusBadRequest, "too many batch queries: %d > %d", len(reqs), s.cfg.MaxBatchQueries)
+		WriteError(w, http.StatusBadRequest, "too many batch queries: %d > %d", len(reqs), s.cfg.MaxBatchQueries)
 		return
 	}
 	items := make([]BatchItem, len(reqs))
@@ -555,7 +561,7 @@ func (s *Server) handleBatchInfluence(w http.ResponseWriter, r *http.Request) {
 	// Large batches can spend a while in the engine; give the response write
 	// its full configured budget instead of whatever the evaluation left.
 	s.extendWriteDeadline(w)
-	writeJSON(w, http.StatusOK, items)
+	WriteJSON(w, http.StatusOK, items)
 }
 
 type seedsRequest struct {
@@ -576,16 +582,16 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	}
 	defer e.release()
 	var req seedsRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if req.K < 1 || req.K > s.cfg.MaxK {
-		writeError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", s.cfg.MaxK, req.K)
+		WriteError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", s.cfg.MaxK, req.K)
 		return
 	}
 	key := e.keyPrefix + "g:" + strconv.Itoa(req.K)
 	if v, ok := e.cache.Get(key); ok {
-		writeJSON(w, http.StatusOK, v)
+		WriteJSON(w, http.StatusOK, v)
 		return
 	}
 	// Single-flight the greedy run: N concurrent cold-cache requests for the
@@ -610,11 +616,11 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		return resp, nil
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	s.extendWriteDeadline(w)
-	writeJSON(w, http.StatusOK, v)
+	WriteJSON(w, http.StatusOK, v)
 }
 
 // TopResponse is the body of a /v1/top answer (exported for the cluster
@@ -636,18 +642,18 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("k"); q != "" {
 		parsed, err := strconv.Atoi(q)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid k %q", q)
+			WriteError(w, http.StatusBadRequest, "invalid k %q", q)
 			return
 		}
 		k = parsed
 	}
 	if k < 1 || k > s.cfg.MaxK {
-		writeError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", s.cfg.MaxK, k)
+		WriteError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", s.cfg.MaxK, k)
 		return
 	}
 	key := e.keyPrefix + "t:" + strconv.Itoa(k)
 	if v, ok := e.cache.Get(key); ok {
-		writeJSON(w, http.StatusOK, v)
+		WriteJSON(w, http.StatusOK, v)
 		return
 	}
 	// Ranking all vertices is a full scan; single-flight it like /v1/seeds.
@@ -665,11 +671,11 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		return resp, nil
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	s.extendWriteDeadline(w)
-	writeJSON(w, http.StatusOK, v)
+	WriteJSON(w, http.StatusOK, v)
 }
 
 // sketchInfo is the per-sketch metadata reported by GET /v1/sketches (and,
@@ -737,7 +743,7 @@ func (s *Server) handleListSketches(w http.ResponseWriter, r *http.Request) {
 	for _, e := range entries {
 		resp.Sketches = append(resp.Sketches, s.infoFor(e, defaultName))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // adminLoadRequest asks the server to load the sketch file at Path under
@@ -753,31 +759,31 @@ type adminLoadRequest struct {
 
 func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 	var req adminLoadRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if req.Path == "" {
-		writeError(w, http.StatusBadRequest, "path is required")
+		WriteError(w, http.StatusBadRequest, "path is required")
 		return
 	}
 	if err := validateSketchName(req.Name); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Admin loads are rare and serialized by the operator in practice; the
 	// check-then-load pair is not atomic against a concurrent load of the
 	// same name, which at worst replaces where it would have 409'd.
 	if !req.Replace && s.registry.Contains(req.Name) {
-		writeError(w, http.StatusConflict, "sketch %q already loaded (set replace to overwrite)", req.Name)
+		WriteError(w, http.StatusConflict, "sketch %q already loaded (set replace to overwrite)", req.Name)
 		return
 	}
 	if err := s.registry.LoadFile(req.Name, req.Path); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Default {
 		if err := s.registry.SetDefault(req.Name); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 	}
@@ -785,11 +791,11 @@ func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		// The sketch was unloaded again between load and report; rare but
 		// not an error worth failing the load over.
-		writeJSON(w, http.StatusOK, errorResponse{})
+		WriteJSON(w, http.StatusOK, ErrorResponse{})
 		return
 	}
 	defer e.release()
-	writeJSON(w, http.StatusOK, s.infoFor(e, s.registry.DefaultName()))
+	WriteJSON(w, http.StatusOK, s.infoFor(e, s.registry.DefaultName()))
 }
 
 func (s *Server) handleAdminUnload(w http.ResponseWriter, r *http.Request) {
@@ -799,10 +805,10 @@ func (s *Server) handleAdminUnload(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrUnknownSketch) {
 			status = http.StatusNotFound
 		}
-		writeError(w, status, "%v", err)
+		WriteError(w, status, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "unloaded", "name": name})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "unloaded", "name": name})
 }
 
 type healthzResponse struct {
@@ -855,5 +861,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.CacheSize = size
 		e.release()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -130,7 +130,7 @@ func TestInfluenceRejectsBadInput(t *testing.T) {
 			if status != c.wantStatus {
 				t.Errorf("status = %d, want %d (body %s)", status, c.wantStatus, raw)
 			}
-			var e errorResponse
+			var e ErrorResponse
 			if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
 				t.Errorf("expected JSON error body, got %s", raw)
 			}

@@ -77,15 +77,15 @@ func (s *Server) handleShardCoverage(w http.ResponseWriter, r *http.Request) {
 	}
 	defer e.release()
 	var req ShardCoverageRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.SeedSets) == 0 {
-		writeError(w, http.StatusBadRequest, "seed_sets must be non-empty")
+		WriteError(w, http.StatusBadRequest, "seed_sets must be non-empty")
 		return
 	}
 	if len(req.SeedSets) > s.cfg.MaxBatchQueries {
-		writeError(w, http.StatusBadRequest, "too many seed sets: %d > %d", len(req.SeedSets), s.cfg.MaxBatchQueries)
+		WriteError(w, http.StatusBadRequest, "too many seed sets: %d > %d", len(req.SeedSets), s.cfg.MaxBatchQueries)
 		return
 	}
 	resp := ShardCoverageResponse{
@@ -122,7 +122,7 @@ func (s *Server) handleShardCoverage(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Errors = msgs
 	s.extendWriteDeadline(w)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // validateShardSeeds is validateInfluenceSeeds for shard queries, which —
@@ -156,15 +156,15 @@ func (s *Server) handleShardMarginal(w http.ResponseWriter, r *http.Request) {
 	}
 	defer e.release()
 	var req ShardMarginalRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if msg := s.validateShardSeeds(e.oracle, req.Seeds); msg != "" {
-		writeError(w, http.StatusBadRequest, "seeds: %s", msg)
+		WriteError(w, http.StatusBadRequest, "seeds: %s", msg)
 		return
 	}
 	if msg := s.validateShardSeeds(e.oracle, req.Candidates); msg != "" {
-		writeError(w, http.StatusBadRequest, "candidates: %s", msg)
+		WriteError(w, http.StatusBadRequest, "candidates: %s", msg)
 		return
 	}
 	seeds := CanonicalSeeds(req.Seeds)
@@ -181,11 +181,11 @@ func (s *Server) handleShardMarginal(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Unreachable after the range checks above, but the oracle's own
 		// validation is the final authority.
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.extendWriteDeadline(w)
-	writeJSON(w, http.StatusOK, ShardMarginalResponse{
+	WriteJSON(w, http.StatusOK, ShardMarginalResponse{
 		ShardIdentity: shardIdentity(e.oracle),
 		Gains:         gains,
 	})
