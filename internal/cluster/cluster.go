@@ -344,6 +344,7 @@ func (c *Coordinator) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		writeFleetError(w, err)
 		return
 	}
+	extendWriteDeadline(w)
 	server.WriteJSON(w, http.StatusOK, resp)
 }
 
@@ -371,6 +372,7 @@ func (c *Coordinator) handleTop(w http.ResponseWriter, r *http.Request) {
 	for i, v := range top {
 		resp.Influences[i] = fleet.influence(fleet.gains[v])
 	}
+	extendWriteDeadline(w)
 	server.WriteJSON(w, http.StatusOK, resp)
 }
 

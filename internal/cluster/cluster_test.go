@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -467,5 +468,99 @@ func TestCoordinatorIdentityFlipMidSelection(t *testing.T) {
 	defer transport.mu.Unlock()
 	if transport.seen < 2 {
 		t.Errorf("selection made %d marginal scatters, the flip needs 2", transport.seen)
+	}
+}
+
+// corruptCountsTransport rewrites the packed count vector named field in
+// every response the shard at target sends on a route ending in suffix.
+type corruptCountsTransport struct {
+	base          http.RoundTripper
+	target        string
+	suffix, field string
+	corrupt       func(packed string) string
+}
+
+func (c *corruptCountsTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := c.base.RoundTrip(req)
+	if err != nil || "http://"+req.URL.Host != c.target || !strings.HasSuffix(req.URL.Path, c.suffix) {
+		return resp, err
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		return nil, err
+	}
+	var packed string
+	if err := json.Unmarshal(fields[c.field], &packed); err != nil {
+		return nil, fmt.Errorf("%s is not a packed string: %w", c.field, err)
+	}
+	if fields[c.field], err = json.Marshal(c.corrupt(packed)); err != nil {
+		return nil, err
+	}
+	if raw, err = json.Marshal(fields); err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(raw))
+	resp.ContentLength = int64(len(raw))
+	resp.Header.Del("Content-Length")
+	return resp, nil
+}
+
+// TestCoordinatorCorruptPackedCounts corrupts the packed count vector in one
+// shard's responses: every query that gathers it must fail with a 5xx naming
+// that shard, never answer 200 from wrong counts.
+func TestCoordinatorCorruptPackedCounts(t *testing.T) {
+	path := buildSketchFile(t, diffusion.IC, 2*core.DefaultBatchShardSize, 7)
+	targets := launchFleet(t, path, 2)
+	truncateLast := func(packed string) string {
+		raw, err := base64.StdEncoding.DecodeString(packed)
+		if err != nil {
+			t.Error(err)
+		}
+		return base64.StdEncoding.EncodeToString(append(raw, 0x80))
+	}
+	dropLast := func(packed string) string {
+		var c server.Counts
+		if err := c.UnmarshalText([]byte(packed)); err != nil {
+			t.Error(err)
+		}
+		out, err := c[:len(c)-1].MarshalText()
+		if err != nil {
+			t.Error(err)
+		}
+		return string(out)
+	}
+	greedyAndTop := []struct{ name, method, path, body string }{
+		{"seeds", "POST", "/v1/seeds", `{"k":5}`},
+		{"top", "GET", "/v1/top?k=10", ""},
+	}
+	influence := []struct{ name, method, path, body string }{
+		{"batch", "POST", "/v1/influence:batch", `[{"seeds":[0]},{"seeds":[33]},{"seeds":[0,33]}]`},
+		{"influence", "POST", "/v1/influence", `{"seeds":[0,33]}`},
+	}
+	for _, tc := range []struct {
+		name, suffix, field string
+		corrupt             func(string) string
+		queries             []struct{ name, method, path, body string }
+	}{
+		{"gains with a truncated varint", "/shard/marginal", "gains", truncateLast, greedyAndTop},
+		{"gains one entry short", "/shard/marginal", "gains", dropLast, greedyAndTop},
+		{"counts one entry short", "/shard/coverage", "counts", dropLast, influence},
+	} {
+		transport := &corruptCountsTransport{
+			base: http.DefaultTransport, target: targets[1],
+			suffix: tc.suffix, field: tc.field, corrupt: tc.corrupt,
+		}
+		coord := newCoordinator(t, Config{Targets: targets, Transport: transport})
+		for _, q := range tc.queries {
+			status, raw := runQuery(t, coord.URL, q)
+			if status < 500 || !strings.Contains(string(raw), targets[1]) {
+				t.Errorf("%s, %s: status %d (%s), want a 5xx naming %s", tc.name, q.name, status, raw, targets[1])
+			}
+		}
 	}
 }

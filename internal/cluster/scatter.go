@@ -187,10 +187,13 @@ func (g *coverageGather) itemError(i int) string {
 	return g.errs[i]
 }
 
-func (c *Coordinator) scatterCoverage(ctx context.Context, sketch string, seedSets [][]int) (*coverageGather, error) {
-	req := server.ShardCoverageRequest{SeedSets: seedSets}
-	path := shardPath(sketch, "coverage")
-	resps := make([]server.ShardCoverageResponse, len(c.cfg.Targets))
+// scatter posts req to path on every target concurrently, waits for all of
+// them, and returns their responses in target order with the fleet view
+// verified from the identity echoes that id extracts. A failed call wins over
+// the fleet check, and the first failure in target order is the one
+// reported.
+func scatter[R any](ctx context.Context, c *Coordinator, path string, req any, id func(*R) server.ShardIdentity) ([]R, fleetView, error) {
+	resps := make([]R, len(c.cfg.Targets))
 	errs := make([]error, len(c.cfg.Targets))
 	var wg sync.WaitGroup
 	for i, target := range c.cfg.Targets {
@@ -204,11 +207,18 @@ func (c *Coordinator) scatterCoverage(ctx context.Context, sketch string, seedSe
 	ids := make([]server.ShardIdentity, len(resps))
 	for i := range resps {
 		if errs[i] != nil {
-			return nil, errs[i]
+			return nil, fleetView{}, errs[i]
 		}
-		ids[i] = resps[i].ShardIdentity
+		ids[i] = id(&resps[i])
 	}
 	fleet, err := verifyFleet(c.cfg.Targets, ids)
+	return resps, fleet, err
+}
+
+func (c *Coordinator) scatterCoverage(ctx context.Context, sketch string, seedSets [][]int) (*coverageGather, error) {
+	resps, fleet, err := scatter(ctx, c, shardPath(sketch, "coverage"),
+		server.ShardCoverageRequest{SeedSets: seedSets},
+		func(r *server.ShardCoverageResponse) server.ShardIdentity { return r.ShardIdentity })
 	if err != nil {
 		return nil, err
 	}
@@ -245,27 +255,9 @@ type marginalGather struct {
 }
 
 func (c *Coordinator) scatterMarginal(ctx context.Context, sketch string, seeds, candidates []int) (*marginalGather, error) {
-	req := server.ShardMarginalRequest{Seeds: seeds, Candidates: candidates}
-	path := shardPath(sketch, "marginal")
-	resps := make([]server.ShardMarginalResponse, len(c.cfg.Targets))
-	errs := make([]error, len(c.cfg.Targets))
-	var wg sync.WaitGroup
-	for i, target := range c.cfg.Targets {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = c.postShardJSON(ctx, target, path, req, &resps[i])
-		}()
-	}
-	wg.Wait()
-	ids := make([]server.ShardIdentity, len(resps))
-	for i := range resps {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		ids[i] = resps[i].ShardIdentity
-	}
-	fleet, err := verifyFleet(c.cfg.Targets, ids)
+	resps, fleet, err := scatter(ctx, c, shardPath(sketch, "marginal"),
+		server.ShardMarginalRequest{Seeds: seeds, Candidates: candidates},
+		func(r *server.ShardMarginalResponse) server.ShardIdentity { return r.ShardIdentity })
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,11 @@
 package server
 
 import (
+	"encoding/base64"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
 	"net/http"
 
 	"imdist/internal/core"
@@ -15,8 +20,16 @@ import (
 // which is what keeps distributed answers byte-identical to a single process
 // on the unsplit sketch.
 //
-//	POST /v1/shard/coverage  {"seed_sets":[[0,5],[3]]} -> {"counts":[..],"shard_index":..,...}
-//	POST /v1/shard/marginal  {"seeds":[..],"candidates":[..]} -> {"gains":[..],...}
+//	POST /v1/shard/coverage  {"seed_sets":[[0,5],[3]]} -> {"counts":"<packed>","shard_index":..,...}
+//	POST /v1/shard/marginal  {"seeds":[..],"candidates":[..]} -> {"gains":"<packed>",...}
+//
+// The count vectors travel packed, as a base64 string of varints (Counts),
+// not as JSON number arrays: the round-0 marginal answer holds one count per
+// vertex, and encoding/json took far longer to decode that array at the
+// coordinator than the shard took to compute it. There is one wire form, so
+// a coordinator and its shards must come from the same build; a number array
+// from an older shard fails the decode, and the coordinator answers 503
+// naming that shard.
 //
 // Both also exist as named routes (/v1/sketches/{name}/shard/...). Every
 // response carries the sketch's shard identity so the coordinator can verify,
@@ -55,6 +68,61 @@ func shardIdentity(o *core.Oracle) ShardIdentity {
 	}
 }
 
+// Counts is a vector of non-negative integer counts in the shard wire form:
+// a JSON string holding the standard base64 of the counts as consecutive
+// unsigned varints. Decoding accepts exactly what encoding produces — strict
+// base64 without line breaks, minimal varints, no value above MaxInt64 — so
+// every accepted string re-encodes to itself.
+type Counts []int64
+
+var countsEncoding = base64.StdEncoding.Strict()
+
+// MarshalText packs c. A negative count has no varint form and is an error.
+func (c Counts) MarshalText() ([]byte, error) {
+	buf := make([]byte, 0, 2*len(c))
+	for i, n := range c {
+		if n < 0 {
+			return nil, fmt.Errorf("count %d is negative: %d", i, n)
+		}
+		buf = binary.AppendUvarint(buf, uint64(n))
+	}
+	return countsEncoding.AppendEncode(nil, buf), nil
+}
+
+// UnmarshalText unpacks text as written by MarshalText.
+func (c *Counts) UnmarshalText(text []byte) error {
+	raw, err := countsEncoding.AppendDecode(nil, text)
+	if err != nil {
+		return fmt.Errorf("counts: %w", err)
+	}
+	if countsEncoding.EncodedLen(len(raw)) != len(text) {
+		// The decoder skips \r and \n; nothing else may be skipped.
+		return errors.New("counts: line breaks in base64")
+	}
+	n := 0
+	for _, b := range raw {
+		if b < 0x80 {
+			n++
+		}
+	}
+	out := make(Counts, 0, n)
+	for len(raw) > 0 {
+		v, k := binary.Uvarint(raw)
+		switch {
+		case k <= 0:
+			return fmt.Errorf("counts: entry %d: truncated or overflowing varint", len(out))
+		case k > 1 && raw[k-1] == 0:
+			return fmt.Errorf("counts: entry %d: overlong varint", len(out))
+		case v > math.MaxInt64:
+			return fmt.Errorf("counts: entry %d: %d exceeds the int64 range", len(out), v)
+		}
+		out = append(out, int64(v))
+		raw = raw[k:]
+	}
+	*c = out
+	return nil
+}
+
 // ShardCoverageRequest evaluates many seed sets against this shard's slice of
 // the RR-set pool.
 type ShardCoverageRequest struct {
@@ -66,7 +134,7 @@ type ShardCoverageRequest struct {
 // bad seed set never fails the scatter.
 type ShardCoverageResponse struct {
 	ShardIdentity
-	Counts []int64  `json:"counts"`
+	Counts Counts   `json:"counts"`
 	Errors []string `json:"errors,omitempty"`
 }
 
@@ -146,7 +214,7 @@ type ShardMarginalRequest struct {
 // ShardMarginalResponse carries one exact marginal count per candidate.
 type ShardMarginalResponse struct {
 	ShardIdentity
-	Gains []int64 `json:"gains"`
+	Gains Counts `json:"gains"`
 }
 
 func (s *Server) handleShardMarginal(w http.ResponseWriter, r *http.Request) {

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"encoding/base64"
 	"encoding/json"
+	"math"
 	"net/http"
+	"slices"
 	"testing"
 
 	"imdist/internal/core"
@@ -156,4 +159,83 @@ func TestLineageSurfacedInListAndHealthz(t *testing.T) {
 	if hz.ShardIndex == nil || *hz.ShardIndex != 2 || hz.ShardCount != 4 || hz.TotalSets != 80000 {
 		t.Errorf("healthz lineage = index %v count %d total %d", hz.ShardIndex, hz.ShardCount, hz.TotalSets)
 	}
+}
+
+// packCounts is the wire form of raw varint bytes, for hand-built hostile
+// inputs.
+func packCounts(raw ...byte) string { return base64.StdEncoding.EncodeToString(raw) }
+
+func TestCountsWireForm(t *testing.T) {
+	for _, c := range []Counts{
+		nil,
+		{},
+		{0},
+		{1, 127, 128},
+		{1 << 40, math.MaxInt64, 0},
+	} {
+		raw, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("marshal %v: %v", c, err)
+		}
+		var got Counts
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatalf("unmarshal %s: %v", raw, err)
+		}
+		if !slices.Equal(got, c) {
+			t.Errorf("round trip of %v via %s = %v", c, raw, got)
+		}
+	}
+	// 128 is the first two-byte varint.
+	if raw, _ := json.Marshal(Counts{0, 1, 127, 128}); string(raw) != `"AAF/gAE="` {
+		t.Errorf("wire form of [0 1 127 128] = %s", raw)
+	}
+
+	if _, err := json.Marshal(Counts{3, -1}); err == nil {
+		t.Error("marshalled a negative count")
+	}
+
+	for _, tc := range []struct{ name, text string }{
+		{"invalid base64", "!!!!"},
+		{"non-canonical base64 padding bits", "AB=="},
+		{"base64 with a line break", "AAF/\ngAE="},
+		{"truncated varint", packCounts(0x80)},
+		{"truncated varint after a count", packCounts(0x05, 0xff, 0xff)},
+		{"overlong varint", packCounts(0x80, 0x00)},
+		{"varint longer than 10 bytes", packCounts(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)},
+		{"varint above MaxInt64", packCounts(0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)},
+		{"trailing garbage", packCounts(0x05, 0x06) + "x"},
+	} {
+		var got Counts
+		if err := got.UnmarshalText([]byte(tc.text)); err == nil {
+			t.Errorf("%s: %q accepted as %v", tc.name, tc.text, got)
+		}
+	}
+	// A JSON number array is not a Counts: a shard from an older build fails
+	// the decode instead of being half understood.
+	var got Counts
+	if err := json.Unmarshal([]byte(`[1,2]`), &got); err == nil {
+		t.Errorf("number array accepted as %v", got)
+	}
+}
+
+// FuzzCounts feeds arbitrary text to the Counts decoder: it never panics,
+// and whatever it accepts re-encodes to exactly the same text.
+func FuzzCounts(f *testing.F) {
+	f.Add("")
+	f.Add("AAF/gAE=")
+	f.Add(packCounts(0x80, 0x00))
+	f.Add(packCounts(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f))
+	f.Fuzz(func(t *testing.T, text string) {
+		var c Counts
+		if err := c.UnmarshalText([]byte(text)); err != nil {
+			return
+		}
+		again, err := c.MarshalText()
+		if err != nil {
+			t.Fatalf("accepted %q as %v, which does not re-encode: %v", text, c, err)
+		}
+		if string(again) != text {
+			t.Fatalf("accepted %q as %v, which re-encodes to %q", text, c, again)
+		}
+	})
 }
