@@ -39,7 +39,11 @@
 // single process on the unsplit sketch, by scatter-gathering integer RR-set
 // counts over the fleet (see internal/cluster). Shards hot-reload through
 // their own admin APIs; the coordinator verifies fleet assembly on every
-// query and answers 503 naming the missing target while a shard is down.
+// query and answers 503 naming the missing target while a shard is down. It
+// takes the request limits (-max-body, -max-seeds, -max-k, -max-batch) and
+// rejects the flags that only a sketch-serving process uses (-sketch,
+// -sketch-dir, -default, -cache, -batch-workers, -kernel, -read-timeout,
+// -write-timeout).
 //
 // The process shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests.
@@ -116,8 +120,17 @@ func run(args []string) error {
 		return err
 	}
 	if *coordinator {
-		if len(sketches) != 0 || *sketchDir != "" {
-			return fmt.Errorf("-coordinator serves a shard fleet; it takes -shard-target, not -sketch/-sketch-dir")
+		// The coordinator holds no sketch, cache or kernel and runs with the
+		// default timeouts: refuse the flags that would silently do nothing.
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "sketch", "sketch-dir", "default", "cache", "batch-workers", "kernel", "read-timeout", "write-timeout":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fmt.Errorf("-coordinator serves a shard fleet and does not take %s", strings.Join(ignored, ", "))
 		}
 		var targets []string
 		for _, group := range shardTargets {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,5 +127,30 @@ func TestRunRejectsMissingSketches(t *testing.T) {
 	}
 	if err := run([]string{"-sketch", "=bad"}); err == nil {
 		t.Error("run with malformed -sketch accepted")
+	}
+}
+
+// TestRunCoordinatorRejectsServerFlags checks that -coordinator names every
+// sketch-serving flag it was given instead of silently ignoring it. The
+// unusable -addr makes a missed rejection fail fast rather than serve.
+func TestRunCoordinatorRejectsServerFlags(t *testing.T) {
+	base := []string{"-coordinator", "-shard-target", "http://127.0.0.1:1", "-addr", "no-port"}
+	for _, extra := range [][]string{
+		{"-sketch", "a.sketch"},
+		{"-sketch-dir", "sketches"},
+		{"-default", "ic"},
+		{"-cache", "-1"},
+		{"-batch-workers", "1"},
+		{"-kernel", "epoch"},
+		{"-read-timeout", "1s"},
+		{"-write-timeout", "1s"},
+		{"-cache", "16", "-kernel", "auto"},
+	} {
+		err := run(append(append([]string(nil), base...), extra...))
+		for i := 0; i < len(extra); i += 2 {
+			if err == nil || !strings.Contains(err.Error(), extra[i]) {
+				t.Errorf("run %v: error %v does not name %s", extra, err, extra[i])
+			}
+		}
 	}
 }

@@ -4,16 +4,16 @@
 // serves the unchanged public /v1 query API with answers byte-identical to a
 // single process serving the unsplit sketch.
 //
-// The identity argument is the batch engine's merge algebra taken over the
-// network: every shard primitive (/v1/shard/coverage, /v1/shard/marginal)
-// returns exact integer RR-set counts, integers sum exactly in any order, and
-// the coordinator performs the one float division by the fleet-wide RR-set
-// total itself — the same expression, on the same integers, as the unsplit
-// oracle. Greedy seed selection runs core.LazyGreedy, the loop behind
-// core.Oracle.GreedySeeds, over summed per-shard marginal counts; top-k ranks
-// the summed per-vertex counts with core.RankCounts, the ranking behind
-// TopSingleVertices. The gather work is proportional to the answer (counts
-// and candidate gains), never to shards × RR sets.
+// The coordinator does not answer queries itself: it registers
+// internal/server's public query handlers (server.HandleQueries) over a
+// server.Source that is the fleet. Each Source call is one scatter of a
+// shard primitive (/v1/shard/coverage, /v1/shard/marginal), which returns
+// exact integer RR-set counts; integers sum exactly in any order, so the
+// handlers' one float division by the fleet-wide RR-set total reproduces the
+// unsplit oracle's answer bit for bit, and the handlers' greedy selection
+// (core.LazyGreedy) and top-k ranking (core.RankCounts) run on the same
+// counts a single process has. The gather work is proportional to the
+// answer (counts and candidate gains), never to shards × RR sets.
 //
 // The coordinator holds no state besides its target list: every response
 // carries the shard's identity (build identity + lineage), and the
@@ -22,37 +22,30 @@
 // rejected as 502s naming the offending target. Shards are therefore free to
 // hot-reload through their own admin API at any time; an unreachable shard
 // degrades the coordinator to 503s naming the missing target until it
-// returns. No coordinator-side caching: the shard servers answer from their
-// own caches and the merge is cheap, so a reloaded shard is visible
-// immediately.
+// returns. No coordinator-side caching or single-flight: the merge is cheap,
+// and a reloaded shard is visible on the next request.
 package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"imdist/internal/core"
 	"imdist/internal/server"
 )
 
-// Defaults for Config zero values, matching internal/server where the knob
-// has a server-side counterpart.
 const (
-	DefaultMaxBodyBytes    = server.DefaultMaxBodyBytes
-	DefaultMaxSeeds        = server.DefaultMaxSeeds
-	DefaultMaxK            = server.DefaultMaxK
-	DefaultMaxBatchQueries = server.DefaultMaxBatchQueries
+	// DefaultMaxK is the MaxK a zero Config selects, as in internal/server.
+	DefaultMaxK = server.DefaultMaxK
 	// DefaultMaxIdleConnsPerHost sizes the pooled transport's per-shard idle
 	// connection pool. net/http's default of 2 would reopen connections on
 	// every concurrent scatter.
 	DefaultMaxIdleConnsPerHost = 32
-	shutdownGrace              = 10 * time.Second
 )
 
 // Config configures a Coordinator. Zero values select defaults; Targets is
@@ -101,16 +94,16 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	cfg.Targets = targets
 	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
+		cfg.MaxBodyBytes = server.DefaultMaxBodyBytes
 	}
 	if cfg.MaxSeeds == 0 {
-		cfg.MaxSeeds = DefaultMaxSeeds
+		cfg.MaxSeeds = server.DefaultMaxSeeds
 	}
 	if cfg.MaxK == 0 {
 		cfg.MaxK = DefaultMaxK
 	}
 	if cfg.MaxBatchQueries == 0 {
-		cfg.MaxBatchQueries = DefaultMaxBatchQueries
+		cfg.MaxBatchQueries = server.DefaultMaxBatchQueries
 	}
 	transport := cfg.Transport
 	if transport == nil {
@@ -126,15 +119,13 @@ func New(cfg Config) (*Coordinator, error) {
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
 	}
-	// The public query surface, byte-identical to internal/server.
-	c.mux.HandleFunc("POST /v1/influence", c.handleInfluence)
-	c.mux.HandleFunc("POST /v1/influence:batch", c.handleBatchInfluence)
-	c.mux.HandleFunc("POST /v1/seeds", c.handleSeeds)
-	c.mux.HandleFunc("GET /v1/top", c.handleTop)
-	c.mux.HandleFunc("POST /v1/sketches/{sketch}/influence", c.handleInfluence)
-	c.mux.HandleFunc("POST /v1/sketches/{sketch}/influence:batch", c.handleBatchInfluence)
-	c.mux.HandleFunc("POST /v1/sketches/{sketch}/seeds", c.handleSeeds)
-	c.mux.HandleFunc("GET /v1/sketches/{sketch}/top", c.handleTop)
+	server.HandleQueries(c.mux, server.Config{
+		MaxBodyBytes:    cfg.MaxBodyBytes,
+		MaxSeeds:        cfg.MaxSeeds,
+		MaxK:            cfg.MaxK,
+		MaxBatchQueries: cfg.MaxBatchQueries,
+		WriteTimeout:    server.DefaultWriteTimeout,
+	}, c.source)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
 	return c, nil
 }
@@ -143,237 +134,27 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) Handler() http.Handler { return c.mux }
 
 // ListenAndServe serves on addr until ctx is cancelled, then shuts down
-// gracefully, draining in-flight requests for up to shutdownGrace.
+// gracefully (see server.Serve).
 func (c *Coordinator) ListenAndServe(ctx context.Context, addr string) error {
-	srv := &http.Server{
+	return server.Serve(ctx, &http.Server{
 		Addr:              addr,
 		Handler:           c.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       server.DefaultReadTimeout,
 		WriteTimeout:      server.DefaultWriteTimeout,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		// ctx is already cancelled on this path: deriving the drain timeout
-		// from it would make Shutdown return immediately and tear down
-		// in-flight requests instead of draining them.
-		//imvet:allow ctxflow — shutdown drain must outlive the cancelled serve ctx; bounded by shutdownGrace
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-		defer cancel()
-		return srv.Shutdown(shutdownCtx)
-	}
-}
-
-// writeFleetError maps a scatter failure to the degraded-mode response: an
-// unreachable or erroring shard is a 503 naming the missing target, a
-// misassembled fleet (wrong lineage) a 502 naming the offender.
-func writeFleetError(w http.ResponseWriter, err error) {
-	var se *shardError
-	if errors.As(err, &se) {
-		// A shard answering "sketch not loaded" is a client addressing error,
-		// not a fleet failure: pass the shard's own 404 through verbatim so
-		// unknown-sketch requests read exactly as on a single process.
-		if se.status == http.StatusNotFound && se.shardMsg != "" {
-			server.WriteError(w, http.StatusNotFound, "%s", se.shardMsg)
-			return
-		}
-		if se.unreachable {
-			server.WriteError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-	}
-	server.WriteError(w, http.StatusBadGateway, "%v", err)
-}
-
-// sketchFor resolves which sketch name to query on the shard servers: the
-// {sketch} path segment when present (named routes), else the configured
-// fleet-wide name ("" = each shard's default).
-func (c *Coordinator) sketchFor(r *http.Request) string {
-	if name := r.PathValue("sketch"); name != "" {
-		return name
-	}
-	return c.cfg.Sketch
-}
-
-type influenceRequest struct {
-	Seeds []int `json:"seeds"`
-}
-
-// validateSeedShape is the fleet-independent prefix of
-// server.ValidateInfluenceSeeds — the checks that need no vertex count, with
-// the same messages, applied before anything is scattered. The vertex-range
-// check runs on the shards, whose shared validation echoes the
-// single-process message back per item (itemError).
-func (c *Coordinator) validateSeedShape(seeds []int) string {
-	if len(seeds) == 0 {
-		return "seeds must be non-empty"
-	}
-	if len(seeds) > c.cfg.MaxSeeds {
-		return fmt.Sprintf("too many seeds: %d > %d", len(seeds), c.cfg.MaxSeeds)
-	}
-	return ""
-}
-
-// extendWriteDeadline mirrors the shard servers' deadline reset: scatter
-// rounds can spend a while in flight, so the response write gets a fresh
-// budget instead of whatever the gather left.
-func extendWriteDeadline(w http.ResponseWriter) {
-	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(server.DefaultWriteTimeout))
-}
-
-func (c *Coordinator) handleInfluence(w http.ResponseWriter, r *http.Request) {
-	var req influenceRequest
-	if !server.DecodeBody(w, r, c.cfg.MaxBodyBytes, &req) {
-		return
-	}
-	if msg := c.validateSeedShape(req.Seeds); msg != "" {
-		server.WriteError(w, http.StatusBadRequest, "%s", msg)
-		return
-	}
-	fleet, err := c.scatterCoverage(r.Context(), c.sketchFor(r), [][]int{req.Seeds})
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	if msg := fleet.itemError(0); msg != "" {
-		server.WriteError(w, http.StatusBadRequest, "%s", msg)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, server.InfluenceResponse{
-		Influence: fleet.influence(fleet.counts[0]),
-		CI99:      fleet.ci99(),
-		Seeds:     len(server.CanonicalSeeds(req.Seeds)),
 	})
 }
 
-func (c *Coordinator) handleBatchInfluence(w http.ResponseWriter, r *http.Request) {
-	var reqs []influenceRequest
-	if !server.DecodeBody(w, r, c.cfg.MaxBodyBytes, &reqs) {
-		return
+// source is the coordinator's server.Resolver: the fleet, queried for the
+// {sketch} path segment when present (named routes), else the configured
+// fleet-wide name ("" = each shard's default). The shards resolve the name;
+// an unknown one comes back as their 404 from the first scatter.
+func (c *Coordinator) source(r *http.Request) (server.Source, func(), error) {
+	sketch := r.PathValue("sketch")
+	if sketch == "" {
+		sketch = c.cfg.Sketch
 	}
-	if len(reqs) == 0 {
-		server.WriteError(w, http.StatusBadRequest, "batch must be a non-empty JSON array of influence requests")
-		return
-	}
-	if len(reqs) > c.cfg.MaxBatchQueries {
-		server.WriteError(w, http.StatusBadRequest, "too many batch queries: %d > %d", len(reqs), c.cfg.MaxBatchQueries)
-		return
-	}
-	// One scatter evaluates every shape-valid item. Dedup by canonical seed
-	// set mirrors the single-process batch handler: repeated queries share
-	// one evaluation and one response object; range-invalid items come back
-	// item-flagged from the shards, so a single bad query never fails the
-	// batch.
-	type pendingQuery struct {
-		items []int
-		seeds []int
-		canon int
-	}
-	items := make([]server.BatchItem, len(reqs))
-	var pending []pendingQuery
-	pendingByKey := make(map[string]int)
-	for i, req := range reqs {
-		if msg := c.validateSeedShape(req.Seeds); msg != "" {
-			items[i].Error = msg
-			continue
-		}
-		canon := server.CanonicalSeeds(req.Seeds)
-		key := make([]byte, 0, len(canon)*4)
-		for _, v := range canon {
-			key = strconv.AppendInt(key, int64(v), 10)
-			key = append(key, ',')
-		}
-		if j, ok := pendingByKey[string(key)]; ok {
-			pending[j].items = append(pending[j].items, i)
-			continue
-		}
-		pendingByKey[string(key)] = len(pending)
-		pending = append(pending, pendingQuery{items: []int{i}, seeds: req.Seeds, canon: len(canon)})
-	}
-	if len(pending) == 0 {
-		server.WriteJSON(w, http.StatusOK, items)
-		return
-	}
-	seedSets := make([][]int, len(pending))
-	for j, p := range pending {
-		seedSets[j] = p.seeds
-	}
-	fleet, err := c.scatterCoverage(r.Context(), c.sketchFor(r), seedSets)
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	ci := fleet.ci99()
-	for j, p := range pending {
-		if msg := fleet.itemError(j); msg != "" {
-			for _, i := range p.items {
-				items[i].Error = msg
-			}
-			continue
-		}
-		resp := server.InfluenceResponse{
-			Influence: fleet.influence(fleet.counts[j]),
-			CI99:      ci,
-			Seeds:     p.canon,
-		}
-		for _, i := range p.items {
-			items[i].InfluenceResponse = &resp
-		}
-	}
-	extendWriteDeadline(w)
-	server.WriteJSON(w, http.StatusOK, items)
-}
-
-func (c *Coordinator) handleSeeds(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		K int `json:"k"`
-	}
-	if !server.DecodeBody(w, r, c.cfg.MaxBodyBytes, &req) {
-		return
-	}
-	if req.K < 1 || req.K > c.cfg.MaxK {
-		server.WriteError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", c.cfg.MaxK, req.K)
-		return
-	}
-	resp, err := c.greedySeeds(r.Context(), c.sketchFor(r), req.K)
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	extendWriteDeadline(w)
-	server.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleTop(w http.ResponseWriter, r *http.Request) {
-	k := min(10, c.cfg.MaxK)
-	if q := r.URL.Query().Get("k"); q != "" {
-		parsed, err := strconv.Atoi(q)
-		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, "invalid k %q", q)
-			return
-		}
-		k = parsed
-	}
-	if k < 1 || k > c.cfg.MaxK {
-		server.WriteError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", c.cfg.MaxK, k)
-		return
-	}
-	fleet, err := c.scatterMarginal(r.Context(), c.sketchFor(r), nil, nil)
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	top := core.RankCounts(fleet.gains, k)
-	resp := server.TopResponse{Vertices: toInts(top), Influences: make([]float64, len(top))}
-	for i, v := range top {
-		resp.Influences[i] = fleet.influence(fleet.gains[v])
-	}
-	extendWriteDeadline(w)
-	server.WriteJSON(w, http.StatusOK, resp)
+	return fleet{c: c, sketch: sketch}, func() {}, nil
 }
 
 // healthzTarget is one shard server's slice of the coordinator healthz
@@ -449,5 +230,6 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.RRSets += ht.RRSets
 	}
-	server.WriteJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(resp)
 }

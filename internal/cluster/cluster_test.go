@@ -150,6 +150,26 @@ var equivalenceQueries = []struct {
 	{"top-default", "GET", "/v1/top", ""},
 	{"top-all", "GET", "/v1/top?k=34", ""},
 	{"top-bad-k", "GET", "/v1/top?k=oops", ""},
+	// 2^32 and 2^32+33 must be rejected, not wrapped to vertices 0 and 33,
+	// and must not share an evaluation with them.
+	{"influence-wrap", "POST", "/v1/influence", `{"seeds":[4294967296]}`},
+	{"batch-wrap", "POST", "/v1/influence:batch",
+		`[{"seeds":[0]},{"seeds":[4294967296]},{"seeds":[33,4294967329]}]`},
+	{"batch-wrap-reversed", "POST", "/v1/influence:batch",
+		`[{"seeds":[33,4294967329]},{"seeds":[4294967296]},{"seeds":[0]}]`},
+	// Check order: the body and every sketch-independent check come before
+	// resolving the sketch, so these answer 400 (or 200 for a batch with no
+	// evaluable item) even for a sketch that does not exist.
+	{"unknown-sketch-empty-seeds", "POST", "/v1/sketches/nope/influence", `{"seeds":[]}`},
+	{"unknown-sketch-malformed", "POST", "/v1/sketches/nope/influence", `{"seeds":[0]`},
+	{"unknown-sketch-unknown-field", "POST", "/v1/sketches/nope/influence", `{"seedz":[0]}`},
+	{"unknown-sketch-top-oops", "GET", "/v1/sketches/nope/top?k=oops", ""},
+	{"unknown-sketch-top-negative", "GET", "/v1/sketches/nope/top?k=-1", ""},
+	{"unknown-sketch-seeds-k0", "POST", "/v1/sketches/nope/seeds", `{"k":0}`},
+	{"unknown-sketch-batch-all-invalid", "POST", "/v1/sketches/nope/influence:batch", `[{"seeds":[]},{"seeds":[]}]`},
+	{"unknown-sketch-batch-over-limit", "POST", "/v1/sketches/nope/influence:batch",
+		"[" + strings.Repeat(`{"seeds":[0]},`, server.DefaultMaxBatchQueries) + `{"seeds":[0]}]`},
+	{"unknown-sketch-valid", "POST", "/v1/sketches/nope/influence:batch", `[{"seeds":[0]}]`},
 }
 
 func runQuery(t testing.TB, base string, q struct{ name, method, path, body string }) (int, []byte) {

@@ -2,7 +2,8 @@ package cluster
 
 // Scatter-gather plumbing: fan a shard request out to every target over the
 // pooled transport, verify from the identity echoes that the responses really
-// assemble the fleet the coordinator fronts, and merge the integer counts.
+// assemble the fleet the coordinator fronts, and merge the integer counts —
+// the fleet's server.Source.
 
 import (
 	"bytes"
@@ -15,8 +16,8 @@ import (
 	"net/url"
 	"sync"
 
+	"imdist/internal/graph"
 	"imdist/internal/server"
-	"imdist/internal/stats"
 )
 
 // shardError is a scatter failure attributed to one shard target.
@@ -36,27 +37,24 @@ type shardError struct {
 func (e *shardError) Error() string { return fmt.Sprintf("shard target %s: %v", e.target, e.err) }
 func (e *shardError) Unwrap() error { return e.err }
 
-// fleetView is the verified fleet-wide identity of a gather, plus the merge
-// arithmetic every handler shares.
-type fleetView struct {
-	vertices  int
-	model     string
-	buildSeed uint64
-	totalSets int
-}
-
-// influence converts a fleet-wide merged RR-set count to influence units —
-// the single float division of the whole distributed computation, the exact
-// expression core.Oracle evaluates on the unsplit sketch. Byte-identity
-// hinges on everything before this line being integer arithmetic.
-func (f fleetView) influence(hits int64) float64 {
-	return float64(f.vertices) * float64(hits) / float64(f.totalSets)
-}
-
-// ci99 is the fleet-wide 99% confidence half-width, as
-// core.Oracle.ConfidenceHalfWidth(2.576) computes it from the RR-set total.
-func (f fleetView) ci99() float64 {
-	return float64(f.vertices) * stats.BinomialCI(0.5, f.totalSets, 2.576)
+// fleetError maps a scatter failure to the degraded-mode answer the query
+// handlers give: a shard's "sketch not loaded" passes through verbatim as
+// the shard's own 404, so unknown-sketch requests read exactly as on a
+// single process; an unreachable or erroring shard is a 503 naming the
+// missing target; a misassembled fleet (wrong lineage) a 502 naming the
+// offender.
+func fleetError(err error) error {
+	status := http.StatusBadGateway
+	var se *shardError
+	if errors.As(err, &se) {
+		if se.status == http.StatusNotFound && se.shardMsg != "" {
+			return &server.StatusError{Status: http.StatusNotFound, Msg: se.shardMsg}
+		}
+		if se.unreachable {
+			status = http.StatusServiceUnavailable
+		}
+	}
+	return &server.StatusError{Status: status, Msg: err.Error()}
 }
 
 // shardPath builds the request path for a shard primitive against the named
@@ -131,27 +129,27 @@ func (c *Coordinator) doShard(target string, req *http.Request, out any) error {
 // len(targets) shards, the shard indexes are a permutation of 0..count-1
 // (no duplicated or missing slices), every shard reports the same build
 // identity, and the per-shard RR-set counts sum to the lineage total.
-func verifyFleet(targets []string, ids []server.ShardIdentity) (fleetView, error) {
+func verifyFleet(targets []string, ids []server.ShardIdentity) (server.Identity, error) {
 	want := len(targets)
 	owner := make([]int, want) // 1-based target index by shard index
 	setSum := 0
 	for i, id := range ids {
 		if id.ShardCount != want {
-			return fleetView{}, &shardError{target: targets[i],
+			return server.Identity{}, &shardError{target: targets[i],
 				err: fmt.Errorf("reports a %d-shard fleet, coordinator has %d targets", id.ShardCount, want)}
 		}
 		if id.ShardIndex < 0 || id.ShardIndex >= want {
-			return fleetView{}, &shardError{target: targets[i],
+			return server.Identity{}, &shardError{target: targets[i],
 				err: fmt.Errorf("reports shard index %d, out of range for a %d-shard fleet", id.ShardIndex, want)}
 		}
 		if prev := owner[id.ShardIndex]; prev != 0 {
-			return fleetView{}, &shardError{target: targets[i],
+			return server.Identity{}, &shardError{target: targets[i],
 				err: fmt.Errorf("serves shard %d already served by %s", id.ShardIndex, targets[prev-1])}
 		}
 		owner[id.ShardIndex] = i + 1
 		if id.Vertices != ids[0].Vertices || id.Model != ids[0].Model ||
 			id.BuildSeed != ids[0].BuildSeed || id.TotalSets != ids[0].TotalSets {
-			return fleetView{}, &shardError{target: targets[i],
+			return server.Identity{}, &shardError{target: targets[i],
 				err: fmt.Errorf("sketch identity (%d vertices, %s, seed %d, %d total sets) does not match %s (%d vertices, %s, seed %d, %d total sets)",
 					id.Vertices, id.Model, id.BuildSeed, id.TotalSets,
 					targets[0], ids[0].Vertices, ids[0].Model, ids[0].BuildSeed, ids[0].TotalSets)}
@@ -159,40 +157,22 @@ func verifyFleet(targets []string, ids []server.ShardIdentity) (fleetView, error
 		setSum += id.NumSets
 	}
 	if setSum != ids[0].TotalSets {
-		return fleetView{}, fmt.Errorf("fleet holds %d RR sets, lineage expects %d", setSum, ids[0].TotalSets)
+		return server.Identity{}, fmt.Errorf("fleet holds %d RR sets, lineage expects %d", setSum, ids[0].TotalSets)
 	}
-	return fleetView{
-		vertices:  ids[0].Vertices,
-		model:     ids[0].Model,
-		buildSeed: ids[0].BuildSeed,
-		totalSets: ids[0].TotalSets,
+	return server.Identity{
+		Vertices:  ids[0].Vertices,
+		Model:     ids[0].Model,
+		BuildSeed: ids[0].BuildSeed,
+		TotalSets: ids[0].TotalSets,
 	}, nil
 }
 
-// coverageGather is the merged result of one /v1/shard/coverage scatter:
-// exact fleet-wide coverage counts, one per requested seed set.
-type coverageGather struct {
-	fleetView
-	counts []int64
-	errs   []string // item-parallel validation errors, nil when all valid
-}
-
-// itemError returns the validation error the shards flagged item i with, or
-// "" when the item is valid. The message text is the shards' shared
-// validation — identical to what a single process would have answered.
-func (g *coverageGather) itemError(i int) string {
-	if g.errs == nil {
-		return ""
-	}
-	return g.errs[i]
-}
-
 // scatter posts req to path on every target concurrently, waits for all of
-// them, and returns their responses in target order with the fleet view
+// them, and returns their responses in target order with the fleet identity
 // verified from the identity echoes that id extracts. A failed call wins over
 // the fleet check, and the first failure in target order is the one
 // reported.
-func scatter[R any](ctx context.Context, c *Coordinator, path string, req any, id func(*R) server.ShardIdentity) ([]R, fleetView, error) {
+func scatter[R any](ctx context.Context, c *Coordinator, path string, req any, id func(*R) server.ShardIdentity) ([]R, server.Identity, error) {
 	resps := make([]R, len(c.cfg.Targets))
 	errs := make([]error, len(c.cfg.Targets))
 	var wg sync.WaitGroup
@@ -207,7 +187,7 @@ func scatter[R any](ctx context.Context, c *Coordinator, path string, req any, i
 	ids := make([]server.ShardIdentity, len(resps))
 	for i := range resps {
 		if errs[i] != nil {
-			return nil, fleetView{}, errs[i]
+			return nil, server.Identity{}, errs[i]
 		}
 		ids[i] = id(&resps[i])
 	}
@@ -215,65 +195,84 @@ func scatter[R any](ctx context.Context, c *Coordinator, path string, req any, i
 	return resps, fleet, err
 }
 
-func (c *Coordinator) scatterCoverage(ctx context.Context, sketch string, seedSets [][]int) (*coverageGather, error) {
-	resps, fleet, err := scatter(ctx, c, shardPath(sketch, "coverage"),
+// fleet is the server.Source of one request on the shard fleet: each call
+// is one scatter to every shard, verified and summed. Errors are
+// *server.StatusError (fleetError).
+type fleet struct {
+	c      *Coordinator
+	sketch string
+}
+
+// Coverage sums the shards' coverage counts. The shards range-check every
+// seed set as a single process would and flag the invalid ones per item;
+// the first flag in target order is the item's error.
+func (f fleet) Coverage(ctx context.Context, seedSets [][]int) (server.Identity, []int64, []string, error) {
+	resps, id, err := scatter(ctx, f.c, shardPath(f.sketch, "coverage"),
 		server.ShardCoverageRequest{SeedSets: seedSets},
 		func(r *server.ShardCoverageResponse) server.ShardIdentity { return r.ShardIdentity })
 	if err != nil {
-		return nil, err
+		return server.Identity{}, nil, nil, fleetError(err)
 	}
-	g := &coverageGather{fleetView: fleet, counts: make([]int64, len(seedSets))}
+	counts := make([]int64, len(seedSets))
+	var msgs []string
 	for i := range resps {
 		if len(resps[i].Counts) != len(seedSets) {
-			return nil, &shardError{target: c.cfg.Targets[i],
-				err: fmt.Errorf("returned %d counts for %d seed sets", len(resps[i].Counts), len(seedSets))}
+			return server.Identity{}, nil, nil, fleetError(&shardError{target: f.c.cfg.Targets[i],
+				err: fmt.Errorf("returned %d counts for %d seed sets", len(resps[i].Counts), len(seedSets))})
 		}
 		for j, n := range resps[i].Counts {
-			g.counts[j] += n
+			counts[j] += n
 		}
 		if resps[i].Errors == nil {
 			continue
 		}
-		if g.errs == nil {
-			g.errs = make([]string, len(seedSets))
+		if msgs == nil {
+			msgs = make([]string, len(seedSets))
 		}
 		for j, msg := range resps[i].Errors {
-			if g.errs[j] == "" {
-				g.errs[j] = msg
+			if msgs[j] == "" {
+				msgs[j] = msg
 			}
 		}
 	}
-	return g, nil
+	return id, counts, msgs, nil
 }
 
-// marginalGather is the merged result of one /v1/shard/marginal scatter:
-// exact fleet-wide marginal gains, one per candidate (every vertex in
-// ascending id order when candidates was nil).
-type marginalGather struct {
-	fleetView
-	gains []int64
-}
-
-func (c *Coordinator) scatterMarginal(ctx context.Context, sketch string, seeds, candidates []int) (*marginalGather, error) {
-	resps, fleet, err := scatter(ctx, c, shardPath(sketch, "marginal"),
-		server.ShardMarginalRequest{Seeds: seeds, Candidates: candidates},
+// Marginal sums the shards' marginal gains, one per candidate (every vertex
+// in ascending id order when candidates is nil).
+func (f fleet) Marginal(ctx context.Context, seeds, candidates []graph.VertexID) (server.Identity, []int64, error) {
+	resps, id, err := scatter(ctx, f.c, shardPath(f.sketch, "marginal"),
+		server.ShardMarginalRequest{Seeds: toInts(seeds), Candidates: toInts(candidates)},
 		func(r *server.ShardMarginalResponse) server.ShardIdentity { return r.ShardIdentity })
 	if err != nil {
-		return nil, err
+		return server.Identity{}, nil, fleetError(err)
 	}
 	wantLen := len(candidates)
 	if candidates == nil {
-		wantLen = fleet.vertices
+		wantLen = id.Vertices
 	}
-	g := &marginalGather{fleetView: fleet, gains: make([]int64, wantLen)}
+	gains := make([]int64, wantLen)
 	for i := range resps {
 		if len(resps[i].Gains) != wantLen {
-			return nil, &shardError{target: c.cfg.Targets[i],
-				err: fmt.Errorf("returned %d gains for %d candidates", len(resps[i].Gains), wantLen)}
+			return server.Identity{}, nil, fleetError(&shardError{target: f.c.cfg.Targets[i],
+				err: fmt.Errorf("returned %d gains for %d candidates", len(resps[i].Gains), wantLen)})
 		}
 		for j, n := range resps[i].Gains {
-			g.gains[j] += n
+			gains[j] += n
 		}
 	}
-	return g, nil
+	return id, gains, nil
+}
+
+// toInts converts vertex ids to the shard wire format, keeping nil as nil
+// (nil candidates mean every vertex).
+func toInts(vs []graph.VertexID) []int {
+	if vs == nil {
+		return nil
+	}
+	out := make([]int, len(vs))
+	for i, v := range vs {
+		out[i] = int(v)
+	}
+	return out
 }

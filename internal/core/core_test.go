@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"imdist/internal/data"
+	"imdist/internal/diffusion"
 	"imdist/internal/estimator"
 	"imdist/internal/graph"
 	"imdist/internal/rng"
@@ -149,6 +151,47 @@ func TestOracleFromRRSets(t *testing.T) {
 	}
 	if _, err := NewOracleFromRRSets(10, o.Model(), 0, [][]graph.VertexID{{0, 12}}); err == nil {
 		t.Error("out-of-range member accepted")
+	}
+}
+
+func TestMemberIndex(t *testing.T) {
+	// A hand-made pool with empty lists, and a random one whose lists span
+	// several chunks, each checked against a per-vertex append.
+	src := rng.NewXoshiro(3)
+	big := make([][]graph.VertexID, 4*memberChunk/50)
+	for i := range big {
+		for range 1 + src.Intn(100) {
+			big[i] = append(big[i], graph.VertexID(src.Intn(700)))
+		}
+	}
+	for _, c := range []struct {
+		n    int
+		sets [][]graph.VertexID
+	}{
+		{5, [][]graph.VertexID{{3, 0}, {1}, {0, 1, 3}, {}, {3}}},
+		{700, big},
+	} {
+		want := make([][]int32, c.n)
+		for i, set := range c.sets {
+			for _, v := range set {
+				want[v] = append(want[v], int32(i))
+			}
+		}
+		o, err := NewOracleFromRRSets(c.n, diffusion.IC, 0, c.sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, w := range want {
+			got := o.memberOf[v]
+			if !slices.Equal(got, w) || (w == nil) != (got == nil) {
+				t.Fatalf("n=%d: memberOf[%d] = %v, want %v", c.n, v, got, w)
+			}
+			// The lists share chunks; an append must not reach the next
+			// vertex's list.
+			if cap(got) != len(got) {
+				t.Errorf("n=%d: cap(memberOf[%d]) = %d, want %d", c.n, v, cap(got), len(got))
+			}
+		}
 	}
 }
 

@@ -221,6 +221,12 @@ func NewOracleFromStore(n int, model diffusion.Model, seed uint64, store RRStore
 	return o, nil
 }
 
+// memberChunk is the size, in RR-set ids, of the arrays the membership lists
+// are carved from: large enough that indexing a sketch allocates a few dozen
+// times instead of once per vertex, small enough that reloading a sketch
+// reuses the heap its predecessor freed rather than growing the process.
+const memberChunk = 1 << 16
+
 // buildMemberIndex derives memberOf by streaming the store twice: a counting
 // pass (which also validates every vertex id) sizes the lists exactly, then a
 // fill pass populates them. Membership lists are built in RR-set order, so two
@@ -241,15 +247,36 @@ func (o *Oracle) buildMemberIndex() error {
 	if err != nil {
 		return err
 	}
+	// Consecutive vertices share one exactly sized chunk, each list a
+	// capacity-capped window of it. The fill pass writes through next[v] —
+	// the chunk index in the high 32 bits, the offset of v's next slot in
+	// the low 32 — so the only per-vertex state it touches is 8 bytes.
 	o.memberOf = make([][]int32, o.n)
-	for v := range o.memberOf {
-		if counts[v] > 0 {
-			o.memberOf[v] = make([]int32, 0, counts[v])
+	next := make([]uint64, o.n)
+	var chunks [][]int32
+	for lo := 0; lo < o.n; {
+		hi, size := lo, 0
+		for hi < o.n && size < memberChunk {
+			size += int(counts[hi])
+			hi++
 		}
+		chunk := make([]int32, size)
+		off := 0
+		for v := lo; v < hi; v++ {
+			if c := int(counts[v]); c > 0 {
+				o.memberOf[v] = chunk[off : off+c : off+c]
+				next[v] = uint64(len(chunks))<<32 | uint64(off)
+				off += c
+			}
+		}
+		chunks = append(chunks, chunk)
+		lo = hi
 	}
 	return o.store.ForEach(0, o.numSets, func(i int, set []graph.VertexID) error {
 		for _, v := range set {
-			o.memberOf[v] = append(o.memberOf[v], int32(i))
+			p := next[v]
+			chunks[p>>32][uint32(p)] = int32(i)
+			next[v] = p + 1
 		}
 		return nil
 	})

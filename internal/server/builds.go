@@ -548,15 +548,15 @@ func loadBuildGraph(req buildRequest) (*graph.InfluenceGraph, error) {
 
 func (s *Server) handleBuildSubmit(w http.ResponseWriter, r *http.Request) {
 	var req buildRequest
-	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
+	if !decodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	job, msg, status := s.builds.submit(req)
 	if msg != "" {
-		WriteError(w, status, "%s", msg)
+		writeError(w, status, "%s", msg)
 		return
 	}
-	WriteJSON(w, http.StatusAccepted, job.status())
+	writeJSON(w, http.StatusAccepted, job.status())
 }
 
 type buildListResponse struct {
@@ -564,28 +564,28 @@ type buildListResponse struct {
 }
 
 func (s *Server) handleBuildList(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, buildListResponse{Builds: s.builds.list()})
+	writeJSON(w, http.StatusOK, buildListResponse{Builds: s.builds.list()})
 }
 
 func (s *Server) handleBuildGet(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.builds.get(r.PathValue("build"))
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown build %q", r.PathValue("build"))
+		writeError(w, http.StatusNotFound, "unknown build %q", r.PathValue("build"))
 		return
 	}
-	WriteJSON(w, http.StatusOK, job.status())
+	writeJSON(w, http.StatusOK, job.status())
 }
 
 func (s *Server) handleBuildCancel(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.builds.get(r.PathValue("build"))
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown build %q", r.PathValue("build"))
+		writeError(w, http.StatusNotFound, "unknown build %q", r.PathValue("build"))
 		return
 	}
 	st, cancelled := s.builds.cancelJob(job)
 	if !cancelled {
-		WriteError(w, http.StatusConflict, "build %s already %s", job.id, st.State)
+		writeError(w, http.StatusConflict, "build %s already %s", job.id, st.State)
 		return
 	}
-	WriteJSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, st)
 }

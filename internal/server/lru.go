@@ -6,7 +6,7 @@ import (
 )
 
 // lruCache is a small thread-safe LRU for query results. Keys are
-// canonicalized request strings (see influenceKey and friends), so two
+// canonicalized request strings (see seedsKey and entrySource.memo), so two
 // requests naming the same seed set in different orders share one entry.
 type lruCache struct {
 	mu       sync.Mutex

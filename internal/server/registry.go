@@ -32,6 +32,7 @@ var ErrUnknownSketch = errors.New("server: unknown sketch")
 type sketchEntry struct {
 	name   string
 	oracle *core.Oracle
+	id     Identity
 	cache  *lruCache
 	flight *flightGroup
 	// keyPrefix encodes the sketch's identity (name, diffusion model, build
@@ -57,6 +58,12 @@ func newSketchEntry(name string, oracle *core.Oracle, mapped *sketchio.MappedSke
 	return &sketchEntry{
 		name:   name,
 		oracle: oracle,
+		id: Identity{
+			Vertices:  oracle.NumVertices(),
+			Model:     oracle.Model().String(),
+			BuildSeed: oracle.BuildSeed(),
+			TotalSets: oracle.NumSets(),
+		},
 		cache:  newLRUCache(cacheSize),
 		flight: newFlightGroup(),
 		keyPrefix: fmt.Sprintf("%s|%s|%d|%d|%d|", name,

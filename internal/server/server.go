@@ -18,7 +18,9 @@
 //
 // The unnamed legacy routes (POST /v1/influence, POST /v1/influence:batch,
 // POST /v1/seeds, GET /v1/top) alias a configurable default sketch, so
-// single-sketch clients keep working unchanged.
+// single-sketch clients keep working unchanged. The handlers of these query
+// routes (query.go) are written over a Source and shared with the cluster
+// coordinator, whose Source is a shard fleet (internal/cluster).
 //
 // Reloads are copy-on-swap: a replacement sketch becomes visible atomically,
 // queries already in flight finish on the oracle they started with, and a
@@ -40,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -223,16 +226,8 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	// Legacy unnamed routes alias the default sketch.
-	s.mux.HandleFunc("POST /v1/influence", s.handleInfluence)
-	s.mux.HandleFunc("POST /v1/influence:batch", s.handleBatchInfluence)
-	s.mux.HandleFunc("POST /v1/seeds", s.handleSeeds)
-	s.mux.HandleFunc("GET /v1/top", s.handleTop)
-	// Named per-sketch routes.
-	s.mux.HandleFunc("POST /v1/sketches/{sketch}/influence", s.handleInfluence)
-	s.mux.HandleFunc("POST /v1/sketches/{sketch}/influence:batch", s.handleBatchInfluence)
-	s.mux.HandleFunc("POST /v1/sketches/{sketch}/seeds", s.handleSeeds)
-	s.mux.HandleFunc("GET /v1/sketches/{sketch}/top", s.handleTop)
+	// The public query routes; the unnamed ones alias the default sketch.
+	HandleQueries(s.mux, cfg, s.source)
 	// Shard-fleet primitives: raw merge-able integer counts for the cluster
 	// coordinator (internal/cluster).
 	s.mux.HandleFunc("POST /v1/shard/coverage", s.handleShardCoverage)
@@ -282,12 +277,18 @@ func (s *Server) httpServer(addr string) *http.Server {
 }
 
 // ListenAndServe serves on addr until ctx is cancelled, then shuts down
-// gracefully, draining in-flight requests for up to shutdownGrace.
+// gracefully (see Serve) and closes the server.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	srv := s.httpServer(addr)
 	defer s.Close()
+	return Serve(ctx, s.httpServer(addr))
+}
+
+// Serve runs hs until ctx is cancelled, then shuts it down gracefully,
+// draining in-flight requests for up to shutdownGrace. It is the one serve
+// loop of a single process and a cluster coordinator.
+func Serve(ctx context.Context, hs *http.Server) error {
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- hs.ListenAndServe() }()
 	select {
 	case err := <-errc:
 		return err
@@ -298,45 +299,51 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 		//imvet:allow ctxflow — shutdown drain must outlive the cancelled serve ctx; bounded by shutdownGrace
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
-		return srv.Shutdown(shutdownCtx)
+		return hs.Shutdown(shutdownCtx)
 	}
 }
 
-// ErrorResponse is the body of every non-2xx answer (exported, with
-// WriteJSON, WriteError and DecodeBody, for the cluster coordinator, whose
-// error bodies must match the server's byte for byte).
+// ErrorResponse is the body of every non-2xx answer.
 type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// WriteJSON writes v as the JSON body of a status response.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON writes v as the JSON body of a status response.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// WriteError writes a formatted ErrorResponse with the given status.
-func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
-	WriteJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+// writeError writes a formatted ErrorResponse with the given status.
+func writeError(w http.ResponseWriter, status int, format string, args ...any) {
+	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// entryFor resolves the request's sketch ({sketch} path segment, or the
-// default for legacy unnamed routes) and takes a query reference on it; on
-// success the caller must release() it when done. On failure a 404 has been
-// written.
-func (s *Server) entryFor(w http.ResponseWriter, r *http.Request) (*sketchEntry, bool) {
+// acquire resolves the request's sketch ({sketch} path segment, or the
+// default for the unnamed routes) and takes a query reference on it; on
+// success the caller must release() it when done. Failure is a 404
+// *StatusError.
+func (s *Server) acquire(r *http.Request) (*sketchEntry, error) {
 	name := r.PathValue("sketch")
 	e, ok := s.registry.acquire(name)
 	if !ok {
 		if name == "" {
-			WriteError(w, http.StatusNotFound, "no default sketch loaded (default %q)", s.registry.DefaultName())
-		} else {
-			WriteError(w, http.StatusNotFound, "sketch %q not loaded", name)
+			return nil, &StatusError{http.StatusNotFound,
+				fmt.Sprintf("no default sketch loaded (default %q)", s.registry.DefaultName())}
 		}
-		return nil, false
+		return nil, &StatusError{http.StatusNotFound, fmt.Sprintf("sketch %q not loaded", name)}
 	}
-	return e, true
+	return e, nil
+}
+
+// source is the Server's Resolver: the request's loaded sketch.
+func (s *Server) source(r *http.Request) (Source, func(), error) {
+	e, err := s.acquire(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	return entrySource{e: e, workers: s.cfg.BatchWorkers}, e.release, nil
 }
 
 // extendWriteDeadline restarts the response write budget. net/http's
@@ -344,24 +351,24 @@ func (s *Server) entryFor(w http.ResponseWriter, r *http.Request) (*sketchEntry,
 // would otherwise eat the whole budget and cut large responses mid-stream;
 // resetting after evaluation makes the configured timeout bound the write
 // itself, which is the documented meaning of Config.WriteTimeout.
-func (s *Server) extendWriteDeadline(w http.ResponseWriter) {
-	if s.cfg.WriteTimeout > 0 {
-		_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+func extendWriteDeadline(w http.ResponseWriter, timeout time.Duration) {
+	if timeout > 0 {
+		_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(timeout))
 	}
 }
 
-// DecodeBody strictly decodes a JSON body of at most limit bytes into v. On
+// decodeBody strictly decodes a JSON body of at most limit bytes into v. On
 // failure it writes a 413 or 400 and returns false.
-func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 		} else {
-			WriteError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+			writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		}
 		return false
 	}
@@ -369,20 +376,15 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 }
 
 // CanonicalSeeds sorts and deduplicates seeds so equivalent seed sets share
-// one cache entry and one oracle evaluation.
+// one cache entry and one oracle evaluation. The ids must already be in
+// range (seedsRangeError): each is converted to graph.VertexID.
 func CanonicalSeeds(seeds []int) []graph.VertexID {
 	out := make([]graph.VertexID, len(seeds))
 	for i, v := range seeds {
 		out[i] = graph.VertexID(v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:0]
-	for i, v := range out {
-		if i == 0 || v != out[i-1] {
-			dedup = append(dedup, v)
-		}
-	}
-	return dedup
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // seedsKey renders a canonical seed set as the sketch-local part of a cache
@@ -398,284 +400,6 @@ func seedsKey(seeds []graph.VertexID) string {
 		b.WriteString(strconv.Itoa(int(v)))
 	}
 	return b.String()
-}
-
-type influenceRequest struct {
-	Seeds []int `json:"seeds"`
-}
-
-// InfluenceResponse is the body of a /v1/influence answer. It is exported so
-// the cluster coordinator can produce byte-identical responses.
-type InfluenceResponse struct {
-	Influence float64 `json:"influence"`
-	CI99      float64 `json:"ci99"`
-	Seeds     int     `json:"seeds"`
-}
-
-// validateInfluenceSeeds checks an influence request's seed list against the
-// server's limits and the oracle's vertex range; it returns a user-facing
-// error message, or "" when the request is valid. Shared by the single and
-// batch influence handlers so both reject exactly the same inputs.
-func (s *Server) validateInfluenceSeeds(oracle *core.Oracle, seeds []int) string {
-	return ValidateInfluenceSeeds(seeds, s.cfg.MaxSeeds, oracle.NumVertices())
-}
-
-// ValidateInfluenceSeeds is the influence-request seed validation shared with
-// the cluster coordinator, which must reject exactly the same inputs with
-// exactly the same messages to stay byte-identical to a single process.
-func ValidateInfluenceSeeds(seeds []int, maxSeeds, numVertices int) string {
-	if len(seeds) == 0 {
-		return "seeds must be non-empty"
-	}
-	if len(seeds) > maxSeeds {
-		return fmt.Sprintf("too many seeds: %d > %d", len(seeds), maxSeeds)
-	}
-	for _, v := range seeds {
-		// Reject before the int32 conversion in CanonicalSeeds can wrap.
-		if v < 0 || v >= numVertices {
-			return fmt.Sprintf("seed vertex %d not in [0, %d)", v, numVertices)
-		}
-	}
-	return ""
-}
-
-func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
-		return
-	}
-	defer e.release()
-	var req influenceRequest
-	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
-		return
-	}
-	if msg := s.validateInfluenceSeeds(e.oracle, req.Seeds); msg != "" {
-		WriteError(w, http.StatusBadRequest, "%s", msg)
-		return
-	}
-	seeds := CanonicalSeeds(req.Seeds)
-	key := e.keyPrefix + seedsKey(seeds)
-	if v, ok := e.cache.Get(key); ok {
-		WriteJSON(w, http.StatusOK, v)
-		return
-	}
-	inf, err := e.oracle.Influence(seeds)
-	if err != nil {
-		// Unreachable after the range check above, but the oracle's own
-		// validation is the final authority.
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	resp := InfluenceResponse{
-		Influence: inf,
-		CI99:      e.oracle.ConfidenceHalfWidth(2.576),
-		Seeds:     len(seeds),
-	}
-	e.cache.Put(key, resp)
-	WriteJSON(w, http.StatusOK, resp)
-}
-
-// BatchItem is one element of a /v1/influence:batch response. A valid item
-// carries the same fields as a /v1/influence response; an invalid one carries
-// only an error message, so a single bad query never fails the whole batch.
-// Repeated queries in one batch share a single *InfluenceResponse, which
-// encodes identically either way.
-type BatchItem struct {
-	*InfluenceResponse
-	Error string `json:"error,omitempty"`
-}
-
-func (s *Server) handleBatchInfluence(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
-		return
-	}
-	defer e.release()
-	var reqs []influenceRequest
-	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &reqs) {
-		return
-	}
-	if len(reqs) == 0 {
-		WriteError(w, http.StatusBadRequest, "batch must be a non-empty JSON array of influence requests")
-		return
-	}
-	if len(reqs) > s.cfg.MaxBatchQueries {
-		WriteError(w, http.StatusBadRequest, "too many batch queries: %d > %d", len(reqs), s.cfg.MaxBatchQueries)
-		return
-	}
-	items := make([]BatchItem, len(reqs))
-	// Resolve each item against the sketch's LRU first (batch and single
-	// requests use the same canonical cache keys), collecting the misses —
-	// deduplicated by canonical key, so a batch of repeated hotspot queries
-	// costs one engine evaluation per distinct seed set — for one pass
-	// through the sharded batch engine.
-	type pendingQuery struct {
-		items []int
-		key   string
-		seeds []graph.VertexID
-	}
-	var pending []pendingQuery
-	pendingByKey := make(map[string]int)
-	for i, req := range reqs {
-		if msg := s.validateInfluenceSeeds(e.oracle, req.Seeds); msg != "" {
-			items[i].Error = msg
-			continue
-		}
-		seeds := CanonicalSeeds(req.Seeds)
-		key := e.keyPrefix + seedsKey(seeds)
-		if j, ok := pendingByKey[key]; ok {
-			pending[j].items = append(pending[j].items, i)
-			continue
-		}
-		if v, ok := e.cache.Get(key); ok {
-			resp := v.(InfluenceResponse)
-			items[i].InfluenceResponse = &resp
-			continue
-		}
-		pendingByKey[key] = len(pending)
-		pending = append(pending, pendingQuery{items: []int{i}, key: key, seeds: seeds})
-	}
-	if len(pending) > 0 {
-		seedSets := make([][]graph.VertexID, len(pending))
-		for j, p := range pending {
-			seedSets[j] = p.seeds
-		}
-		values, errs := e.oracle.BatchInfluence(seedSets, s.cfg.BatchWorkers)
-		ci := e.oracle.ConfidenceHalfWidth(2.576)
-		for j, p := range pending {
-			if errs[j] != nil {
-				// Unreachable after validateInfluenceSeeds, but the oracle's
-				// own validation is the final authority.
-				for _, i := range p.items {
-					items[i].Error = errs[j].Error()
-				}
-				continue
-			}
-			resp := InfluenceResponse{Influence: values[j], CI99: ci, Seeds: len(p.seeds)}
-			e.cache.Put(p.key, resp)
-			for _, i := range p.items {
-				items[i].InfluenceResponse = &resp
-			}
-		}
-	}
-	// Large batches can spend a while in the engine; give the response write
-	// its full configured budget instead of whatever the evaluation left.
-	s.extendWriteDeadline(w)
-	WriteJSON(w, http.StatusOK, items)
-}
-
-type seedsRequest struct {
-	K int `json:"k"`
-}
-
-// SeedsResponse is the body of a /v1/seeds answer (exported for the cluster
-// coordinator).
-type SeedsResponse struct {
-	Seeds     []int   `json:"seeds"`
-	Influence float64 `json:"influence"`
-}
-
-func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
-		return
-	}
-	defer e.release()
-	var req seedsRequest
-	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
-		return
-	}
-	if req.K < 1 || req.K > s.cfg.MaxK {
-		WriteError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", s.cfg.MaxK, req.K)
-		return
-	}
-	key := e.keyPrefix + "g:" + strconv.Itoa(req.K)
-	if v, ok := e.cache.Get(key); ok {
-		WriteJSON(w, http.StatusOK, v)
-		return
-	}
-	// Single-flight the greedy run: N concurrent cold-cache requests for the
-	// same (sketch, k) compute once and share the result instead of each
-	// running GreedySeeds (the cache stampede this endpoint used to have).
-	v, err := e.flight.Do(key, func() (any, error) {
-		if v, ok := e.cache.Get(key); ok {
-			return v, nil
-		}
-		e.seedRuns.Add(1)
-		seeds := e.oracle.GreedySeeds(req.K)
-		inf, err := e.oracle.Influence(seeds)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int, len(seeds))
-		for i, v := range seeds {
-			out[i] = int(v)
-		}
-		resp := SeedsResponse{Seeds: out, Influence: inf}
-		e.cache.Put(key, resp)
-		return resp, nil
-	})
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.extendWriteDeadline(w)
-	WriteJSON(w, http.StatusOK, v)
-}
-
-// TopResponse is the body of a /v1/top answer (exported for the cluster
-// coordinator).
-type TopResponse struct {
-	Vertices   []int     `json:"vertices"`
-	Influences []float64 `json:"influences"`
-}
-
-func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
-		return
-	}
-	defer e.release()
-	// The default must respect MaxK, or a bare GET /v1/top would 400 on
-	// servers configured with MaxK < 10.
-	k := min(10, s.cfg.MaxK)
-	if q := r.URL.Query().Get("k"); q != "" {
-		parsed, err := strconv.Atoi(q)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "invalid k %q", q)
-			return
-		}
-		k = parsed
-	}
-	if k < 1 || k > s.cfg.MaxK {
-		WriteError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", s.cfg.MaxK, k)
-		return
-	}
-	key := e.keyPrefix + "t:" + strconv.Itoa(k)
-	if v, ok := e.cache.Get(key); ok {
-		WriteJSON(w, http.StatusOK, v)
-		return
-	}
-	// Ranking all vertices is a full scan; single-flight it like /v1/seeds.
-	v, err := e.flight.Do(key, func() (any, error) {
-		if v, ok := e.cache.Get(key); ok {
-			return v, nil
-		}
-		vs, infs := e.oracle.TopSingleVertices(k)
-		out := make([]int, len(vs))
-		for i, v := range vs {
-			out[i] = int(v)
-		}
-		resp := TopResponse{Vertices: out, Influences: infs}
-		e.cache.Put(key, resp)
-		return resp, nil
-	})
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.extendWriteDeadline(w)
-	WriteJSON(w, http.StatusOK, v)
 }
 
 // sketchInfo is the per-sketch metadata reported by GET /v1/sketches (and,
@@ -743,7 +467,7 @@ func (s *Server) handleListSketches(w http.ResponseWriter, r *http.Request) {
 	for _, e := range entries {
 		resp.Sketches = append(resp.Sketches, s.infoFor(e, defaultName))
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // adminLoadRequest asks the server to load the sketch file at Path under
@@ -759,31 +483,31 @@ type adminLoadRequest struct {
 
 func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 	var req adminLoadRequest
-	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
+	if !decodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if req.Path == "" {
-		WriteError(w, http.StatusBadRequest, "path is required")
+		writeError(w, http.StatusBadRequest, "path is required")
 		return
 	}
 	if err := validateSketchName(req.Name); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Admin loads are rare and serialized by the operator in practice; the
 	// check-then-load pair is not atomic against a concurrent load of the
 	// same name, which at worst replaces where it would have 409'd.
 	if !req.Replace && s.registry.Contains(req.Name) {
-		WriteError(w, http.StatusConflict, "sketch %q already loaded (set replace to overwrite)", req.Name)
+		writeError(w, http.StatusConflict, "sketch %q already loaded (set replace to overwrite)", req.Name)
 		return
 	}
 	if err := s.registry.LoadFile(req.Name, req.Path); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Default {
 		if err := s.registry.SetDefault(req.Name); err != nil {
-			WriteError(w, http.StatusInternalServerError, "%v", err)
+			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 	}
@@ -791,11 +515,11 @@ func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		// The sketch was unloaded again between load and report; rare but
 		// not an error worth failing the load over.
-		WriteJSON(w, http.StatusOK, ErrorResponse{})
+		writeJSON(w, http.StatusOK, ErrorResponse{})
 		return
 	}
 	defer e.release()
-	WriteJSON(w, http.StatusOK, s.infoFor(e, s.registry.DefaultName()))
+	writeJSON(w, http.StatusOK, s.infoFor(e, s.registry.DefaultName()))
 }
 
 func (s *Server) handleAdminUnload(w http.ResponseWriter, r *http.Request) {
@@ -805,10 +529,10 @@ func (s *Server) handleAdminUnload(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrUnknownSketch) {
 			status = http.StatusNotFound
 		}
-		WriteError(w, status, "%v", err)
+		writeError(w, status, "%v", err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "unloaded", "name": name})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "unloaded", "name": name})
 }
 
 type healthzResponse struct {
@@ -861,5 +585,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.CacheSize = size
 		e.release()
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -139,21 +139,22 @@ type ShardCoverageResponse struct {
 }
 
 func (s *Server) handleShardCoverage(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
+	e, err := s.acquire(r)
+	if err != nil {
+		writeQueryError(w, err)
 		return
 	}
 	defer e.release()
 	var req ShardCoverageRequest
-	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
+	if !decodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.SeedSets) == 0 {
-		WriteError(w, http.StatusBadRequest, "seed_sets must be non-empty")
+		writeError(w, http.StatusBadRequest, "seed_sets must be non-empty")
 		return
 	}
 	if len(req.SeedSets) > s.cfg.MaxBatchQueries {
-		WriteError(w, http.StatusBadRequest, "too many seed sets: %d > %d", len(req.SeedSets), s.cfg.MaxBatchQueries)
+		writeError(w, http.StatusBadRequest, "too many seed sets: %d > %d", len(req.SeedSets), s.cfg.MaxBatchQueries)
 		return
 	}
 	resp := ShardCoverageResponse{
@@ -189,18 +190,21 @@ func (s *Server) handleShardCoverage(w http.ResponseWriter, r *http.Request) {
 		resp.Counts[i] = counts[i]
 	}
 	resp.Errors = msgs
-	s.extendWriteDeadline(w)
-	WriteJSON(w, http.StatusOK, resp)
+	extendWriteDeadline(w, s.cfg.WriteTimeout)
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// validateShardSeeds is validateInfluenceSeeds for shard queries, which —
-// unlike public influence queries — accept the empty seed set (coverage 0,
-// and the greedy protocol's round-0 marginal call).
+// validateShardSeeds checks a shard query's seed list as the public routes
+// do, except that the empty list is valid (coverage 0, and the greedy
+// protocol's round-0 marginal call).
 func (s *Server) validateShardSeeds(oracle *core.Oracle, seeds []int) string {
 	if len(seeds) == 0 {
 		return ""
 	}
-	return s.validateInfluenceSeeds(oracle, seeds)
+	if msg := seedsShapeError(seeds, s.cfg.MaxSeeds); msg != "" {
+		return msg
+	}
+	return seedsRangeError(seeds, oracle.NumVertices())
 }
 
 // ShardMarginalRequest asks for the marginal coverage gain of every candidate
@@ -218,21 +222,22 @@ type ShardMarginalResponse struct {
 }
 
 func (s *Server) handleShardMarginal(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
+	e, err := s.acquire(r)
+	if err != nil {
+		writeQueryError(w, err)
 		return
 	}
 	defer e.release()
 	var req ShardMarginalRequest
-	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
+	if !decodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if msg := s.validateShardSeeds(e.oracle, req.Seeds); msg != "" {
-		WriteError(w, http.StatusBadRequest, "seeds: %s", msg)
+		writeError(w, http.StatusBadRequest, "seeds: %s", msg)
 		return
 	}
 	if msg := s.validateShardSeeds(e.oracle, req.Candidates); msg != "" {
-		WriteError(w, http.StatusBadRequest, "candidates: %s", msg)
+		writeError(w, http.StatusBadRequest, "candidates: %s", msg)
 		return
 	}
 	seeds := CanonicalSeeds(req.Seeds)
@@ -249,11 +254,11 @@ func (s *Server) handleShardMarginal(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Unreachable after the range checks above, but the oracle's own
 		// validation is the final authority.
-		WriteError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.extendWriteDeadline(w)
-	WriteJSON(w, http.StatusOK, ShardMarginalResponse{
+	extendWriteDeadline(w, s.cfg.WriteTimeout)
+	writeJSON(w, http.StatusOK, ShardMarginalResponse{
 		ShardIdentity: shardIdentity(e.oracle),
 		Gains:         gains,
 	})
